@@ -168,23 +168,6 @@ def embed_element(a: AlgebraElement) -> np.ndarray:
     return numerics.block_diag(a.block_data)
 
 
-def element_from_embedded(algebra: FdCStarAlgebra, m) -> AlgebraElement:
-    """Split a block-diagonal ambient matrix back into blocks.
-
-    Off-diagonal couplings between blocks are discarded.
-    """
-    mat = as_matrix(m)
-    n = algebra.ambient_dim
-    if mat.shape != (n, n):
-        raise ShapeMismatch(f"ambient matrix is {mat.shape}, expected ({n}, {n})")
-    data = []
-    pos = 0
-    for size in algebra.blocks:
-        data.append(mat[pos : pos + size, pos : pos + size])
-        pos += size
-    return AlgebraElement(algebra, tuple(data))
-
-
 @dataclass(frozen=True, eq=False)
 class StarHom:
     """A linear map between algebras stored on the matrix-unit basis.
@@ -290,19 +273,20 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     if not gens:
         gens = [numerics.zeros(n, n)]
     ident = numerics.eye(n)
-    rows = []
-    for g in gens:
-        for s in (g, dagger(g)):
-            # vec(SX - XS) = (I (x) S - S^T (x) I) vec(X), columns stacked
-            rows.append(kron(ident, s) - kron(s.T, ident))
-    stacked = np.vstack(rows)
-    _, sing, v = numerics.svd(stacked)
+    n2 = n * n
+    stacked = np.empty((2 * len(gens) * n2, n2), dtype=np.complex128)
+    for i, s in enumerate(m for g in gens for m in (g, dagger(g))):
+        # vec(SX - XS) = (I (x) S - S^T (x) I) vec(X), columns stacked
+        block = stacked[i * n2 : (i + 1) * n2]
+        block[:] = kron(ident, s)
+        block -= kron(s.T, ident)
+    sing, v = numerics.right_singular(stacked)
     smax = float(sing[0]) if sing.size else 0.0
     if smax <= tol.eps_rank:
-        null_cols = range(n * n)
+        null_cols = range(n2)
     else:
         rank = int(np.count_nonzero(sing > tol.eps_rank * smax))
-        null_cols = range(rank, n * n)
+        null_cols = range(rank, n2)
     basis = []
     for j in null_cols:
         basis.append(np.asarray(v[:, j]).reshape((n, n), order="F"))

@@ -186,18 +186,6 @@ def compose_maps(psi: OcpMap, phi: OcpMap) -> OcpMap:
     return OcpMap(phi.domain, psi.k, tuple(images))
 
 
-def compose_with_ad(t, phi: OcpMap) -> OcpMap:
-    """Ad_T o phi, i.e. a -> T phi(a) T*."""
-    mat = as_matrix(t)
-    if mat.shape[1] != phi.k:
-        raise ShapeMismatch("T does not compose with phi")
-    return OcpMap(
-        phi.domain,
-        mat.shape[0],
-        tuple(mat @ img @ dagger(mat) for img in phi.basis_images),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class OcpMorphism:
     """A linear map T with T phi(a) = psi(a) T for all a."""
@@ -366,7 +354,6 @@ __all__ = [
     "ad_map",
     "kraus_map",
     "zero_map",
-    "compose_with_ad",
     "is_ocp_morphism",
     "check_morphism_variants",
     "decompose_opstate_morphism",
@@ -375,5 +362,4 @@ __all__ = [
     "compose_morphisms",
     "identity_morphism",
     "unique_unital_hom_from_scalars",
-    "matrix_units",
 ]

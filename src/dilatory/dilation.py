@@ -413,8 +413,8 @@ def universal_factorization(
 
 def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether pi(A) V(C^k) spans the whole carrier space."""
-    cols = _span_columns(rep)
-    _, sing, _ = numerics.svd(cols)
+    # rank(cols) = rank(cols*); the tall orientation keeps the discarded V at h x h
+    sing, _ = numerics.right_singular(dagger(_span_columns(rep)))
     smax = float(sing[0]) if sing.size else 0.0
     if smax <= tol.eps_rank:
         return False

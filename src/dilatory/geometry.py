@@ -16,16 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .algebra import FdCStarAlgebra
+from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, check_star_hom
 from .dilation import (
     AnchoredRep,
     RepMorphism,
     mediating_morphism,
     restrict,
     stinespring_dilate,
-    validate_rep,
 )
 from .errors import (
+    DegenerateDimension,
     DilatoryError,
     NonIntegralMultiplicity,
     NotEquivalent,
@@ -63,7 +63,7 @@ class PartialIsometryReport:
 def partial_isometry_report(l, tol: Tolerance = DEFAULT_TOL) -> PartialIsometryReport:
     mat = as_matrix(l)
     residual = max_abs(mat @ dagger(mat) @ mat - mat)
-    _, sing, v = numerics.svd(mat)
+    sing, v = numerics.right_singular(mat)
     keep = sing > tol.eps_rank
     basis = v[:, : int(np.count_nonzero(keep))]
     defect = float(np.max(np.abs(sing[keep] - 1.0))) if np.any(keep) else 0.0
@@ -154,13 +154,14 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
 
 
 def _rep_gate(pi_images, algebra: FdCStarAlgebra, h: int, tol: Tolerance):
-    anchor = numerics.zeros(h, 1)
-    anchor[0, 0] = 1.0
-    rep = AnchoredRep(algebra, 1, h, tuple(pi_images), anchor)
-    report = validate_rep(rep, tol)
+    """Raise NotRepresentation unless the images define a *-hom A -> M_h."""
+    if h < 1:
+        raise DegenerateDimension(f"h={h}; must be >= 1")
+    target = FdCStarAlgebra((h,))
+    hom = StarHom(algebra, target, tuple(AlgebraElement(target, (m,)) for m in pi_images))
+    report = check_star_hom(hom, tol)
     if not report.ok:
         raise NotRepresentation(f"not a unital *-representation: {report.residuals}")
-    return rep
 
 
 def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):

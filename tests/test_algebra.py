@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,16 @@ from dilatory.algebra import (
     matrix_units,
     unit_product_index,
 )
+from dilatory.dilation import stinespring_dilate
 from dilatory.errors import ShapeMismatch
 from dilatory.numerics import Tolerance, max_abs
-from dilatory.randgen import boxplus_rep_images, random_unitary, rng_for
+from dilatory.randgen import (
+    boxplus_rep_images,
+    inflate_rep,
+    random_cp_map,
+    random_unitary,
+    rng_for,
+)
 
 TOL = Tolerance()
 
@@ -188,3 +197,51 @@ def test_commutant_orthonormal_and_commutes():
 def test_commutant_shape_gate():
     with pytest.raises(ShapeMismatch):
         commutant([np.eye(2)], 3, TOL)
+
+
+def _commutator_stack(generators, n):
+    ident = np.eye(n)
+    return np.vstack(
+        [np.kron(ident, s) - np.kron(s.T, ident)
+         for g in generators for s in (g, g.conj().T)]
+    )
+
+
+def test_commutant_projector_matches_full_svd_null_space():
+    # reference: the null space from a full SVD of the same commutator stack
+    for i in range(12):
+        rng = rng_for(8, i)
+        t = int(rng.integers(1, 3))
+        algebra = FdCStarAlgebra(tuple(int(rng.integers(1, 3)) for _ in range(t)))
+        mults = [int(rng.integers(1, 3)) for _ in range(t)]
+        images = boxplus_rep_images(algebra, mults)
+        ambient = sum(n * c for n, c in zip(algebra.blocks, mults))
+        u = random_unitary(rng, ambient)
+        images = [u @ g @ u.conj().T for g in images]
+        basis = commutant(images, ambient, TOL)
+        cols = np.stack([x.reshape(-1, order="F") for x in basis], axis=1)
+        _, sing, vh = np.linalg.svd(_commutator_stack(images, ambient))
+        # commutant's cutoff: relative to the top singular value, and rank 0
+        # when that value is below eps_rank (scalar generators, as for M_1 here)
+        rank = 0 if sing[0] <= TOL.eps_rank else int(
+            np.count_nonzero(sing > TOL.eps_rank * sing[0])
+        )
+        null = vh[rank:].conj().T
+        assert cols.shape[1] == null.shape[1] == sum(c * c for c in mults)
+        assert max_abs(cols @ cols.conj().T - null @ null.conj().T) <= 1e-10
+
+
+def test_commutant_large_carrier_stays_small():
+    # (5,) at h = 15: the stack is 11250 x 225, so a full U would be 2.0 GB
+    rng = rng_for(9, 0)
+    phi = random_cp_map(rng, (5,), 2, kraus_rank=2)
+    rep = inflate_rep(rng, stinespring_dilate(phi, TOL), [1])
+    assert rep.h == 15
+    tracemalloc.start()
+    try:
+        basis = commutant(rep.pi_images, rep.h, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 3 * 3
+    assert peak < 300 * 2**20

@@ -10,12 +10,14 @@ from dilatory.dilation import (
     stinespring_dilate,
 )
 from dilatory.errors import (
+    DegenerateDimension,
     NotEquivalent,
     NotExtension,
     NotPartialIsometry,
     NotRepresentation,
     NotTensorForm,
     RestrictionMismatch,
+    ShapeMismatch,
 )
 from dilatory.geometry import (
     connecting_morphism,
@@ -524,3 +526,19 @@ def test_purify_outputs_extend_connecting_morphism():
         assert is_intertwining_extension(
             link.L, u, list(rep1.pi_images), list(rep2.pi_images), TOL
         )
+
+
+def test_normal_form_general_rejects_malformed_images():
+    algebra = FdCStarAlgebra((1, 2))
+    images = boxplus_rep_images(algebra, (1, 1))
+    wrong_shape = list(images)
+    wrong_shape[2] = np.zeros((3, 4))
+    with pytest.raises(ShapeMismatch):
+        normal_form_general_rep(wrong_shape, algebra, TOL)
+    empty = [np.zeros((0, 0))] * algebra.dim
+    with pytest.raises(DegenerateDimension):
+        normal_form_general_rep(empty, algebra, TOL)
+    broken = list(images)
+    broken[1] = 0.5 * broken[1]
+    with pytest.raises(NotRepresentation):
+        normal_form_general_rep(broken, algebra, TOL)

@@ -10,6 +10,7 @@ from dilatory.numerics import (
     kron,
     max_abs,
     rank_psd,
+    right_singular,
     svd,
 )
 
@@ -160,3 +161,32 @@ def test_svd_reconstruction_oracle():
     sigma = np.zeros((3, 5))
     sigma[:3, :3] = np.diag(s)
     assert max_abs(u @ sigma @ v.conj().T - m) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_right_singular_matches_full_svd(rows, cols, rank, seed):
+    # tall, square and wide inputs of every rank from 0 to full
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+    right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    m = left @ right
+    s, v = right_singular(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    scale = max(1.0, float(ref[0]) if ref.size else 0.0)
+    assert s.shape == ref.shape
+    assert max_abs(s - ref) <= 1e-12 * scale
+    assert v.shape == (cols, cols)
+    assert max_abs(v.conj().T @ v - np.eye(cols)) <= 1e-12
+    assert max_abs(m @ v[:, rank:]) <= 1e-12 * scale
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(cols)]
+    assert np.all(top.real > 0) and max_abs(top.imag) <= 1e-14
+    s2, v2 = right_singular(m.copy())
+    assert s.tobytes() == s2.tobytes()
+    assert v.tobytes() == v2.tobytes()
