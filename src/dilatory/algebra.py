@@ -10,6 +10,7 @@ commutator superoperators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +30,14 @@ class FdCStarAlgebra:
         if len(blocks) < 1 or any(n < 1 for n in blocks):
             raise ValueError(f"invalid block sizes {self.blocks}")
         object.__setattr__(self, "blocks", blocks)
+        # label and offset tables, built once: not fields, so eq/hash/repr
+        # still see only the block sizes
+        labels = tuple(
+            (j, a, b) for j, n in enumerate(blocks) for a in range(n) for b in range(n)
+        )
+        offsets = tuple(accumulate((n * n for n in blocks[:-1]), initial=0))
+        object.__setattr__(self, "_labels", labels)
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def dim(self) -> int:
@@ -46,16 +55,10 @@ class FdCStarAlgebra:
 
     def basis_labels(self):
         """(block, row, col) triples in block-major, then row-major order."""
-        labels = []
-        for j, n in enumerate(self.blocks):
-            for a in range(n):
-                for b in range(n):
-                    labels.append((j, a, b))
-        return labels
+        return list(self._labels)
 
     def basis_index(self, j: int, a: int, b: int) -> int:
-        offset = sum(n * n for n in self.blocks[:j])
-        return offset + a * self.blocks[j] + b
+        return self._offsets[j] + a * self.blocks[j] + b
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, tuple(numerics.zeros(n, n) for n in self.blocks))
@@ -150,17 +153,33 @@ def unit_product_index(algebra: FdCStarAlgebra, alpha: int, beta: int):
     Matrix units multiply by the delta rule: E_ab E_cd = [b == c] E_ad inside
     one block and vanish across blocks.
     """
-    labels = algebra.basis_labels()
-    j1, a, b = labels[alpha]
-    j2, c, d = labels[beta]
+    j1, a, b = algebra._labels[alpha]
+    j2, c, d = algebra._labels[beta]
     if j1 != j2 or b != c:
         return None
     return algebra.basis_index(j1, a, d)
 
 
 def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
-    j, a, b = algebra.basis_labels()[alpha]
+    j, a, b = algebra._labels[alpha]
     return algebra.basis_index(j, b, a)
+
+
+def boxplus_rep_images(algebra: FdCStarAlgebra, mults) -> np.ndarray:
+    """Basis images of the representation a -> boxplus_j (a_j (x) 1_{c_j}).
+
+    Returned as one (dim, h, h) array, h = sum_j n_j c_j; E^{(j)}_{ab} sends
+    carrier row (j, b, rho) to (j, a, rho).  Blocks with c_j = 0 take no room.
+    """
+    mults = [int(c) for c in mults]
+    h = sum(n * c for n, c in zip(algebra.blocks, mults))
+    out = np.zeros((algebra.dim, h, h), dtype=np.complex128)
+    row = 0
+    for offset, n, c in zip(algebra._offsets, algebra.blocks, mults):
+        a, b, rho = np.ix_(range(n), range(n), range(c))
+        out[offset + a * n + b, row + a * c + rho, row + b * c + rho] = 1.0
+        row += n * c
+    return out
 
 
 def embed_element(a: AlgebraElement) -> np.ndarray:

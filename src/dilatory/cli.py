@@ -3,14 +3,17 @@
 Exit codes are part of the contract: 0 success, 1 law failure, 2 not
 completely positive, 3 malformed input, 4 restriction mismatch, 5 not
 unitarily equivalent.  The DILATORY_TOL environment variable overrides the
-default tolerance when --tol is not given explicitly.
+default tolerance when --tol is not given explicitly; a tolerance that is not
+a positive finite number, like a --dims below 1, is malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from typing import NoReturn
 
 from .cpmap import is_completely_positive, is_unital
 from .dilation import stinespring_dilate
@@ -46,15 +49,22 @@ EXIT_RESTRICTION = 4
 EXIT_NOT_EQUIVALENT = 5
 
 
+def _reject(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_PARSE)
+
+
 def _tolerance_from(args) -> Tolerance:
-    value = args.tol
+    value, source = args.tol, "--tol"
     if value is None:
         raw = os.environ.get("DILATORY_TOL", "1e-9")
+        source = f"DILATORY_TOL={raw!r}"
         try:
             value = float(raw)
         except ValueError:
-            print(f"error: DILATORY_TOL={raw!r} is not a number", file=sys.stderr)
-            raise SystemExit(EXIT_PARSE) from None
+            _reject(f"{source} is not a number")
+    if not (math.isfinite(value) and value > 0.0):
+        _reject(f"{source} gives tolerance {value!r}; it must be positive and finite")
     # eps_rank cannot go below machine epsilon; eps_eq may, and an absurdly
     # tight eps_eq is the documented way to make the law suite fail loudly
     return Tolerance(eps_rank=max(value, _MACHINE_EPS), eps_eq=value)
@@ -146,6 +156,8 @@ def cmd_purify(args) -> int:
 
 
 def cmd_laws(args) -> int:
+    if args.dims < 1:
+        _reject(f"--dims {args.dims}; the largest block size must be at least 1")
     tol = _tolerance_from(args)
     try:
         result = run_default_suite(

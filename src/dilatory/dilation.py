@@ -1,12 +1,21 @@
 """Minimal Stinespring dilations and their universal property.
 
-The dilation of a CP map phi: A -> B(C^k) is built from the Gram matrix of
-the sesquilinear form <a (x) v, b (x) w> = <v, phi(a* b) w> on A (x) C^k.
-An eigendecomposition G = U L U* yields quotient coordinates Q = L+^{1/2} U+*
-onto the support of the form: Q kills the null space, carries the induced
-inner product exactly (Q* Q = G), and in finite dimension the quotient is
-already complete.  The representation acts by compressed left multiplication
-Q M_a Q+ and the anchor V sends e_s to the class of 1_A (x) e_s.
+The dilation of a CP map phi: A -> B(C^k) is the quotient of A (x) C^k by the
+null space of the form <a (x) v, b (x) w> = <v, phi(a* b) w>.  Matrix units
+multiply by the delta rule, so the Gram matrix of the form is the direct sum
+of 1_{n_j} (x) C_j over the Choi blocks C_j of phi, and the whole construction
+follows from one Hermitian eigendecomposition C_j = U_j L_j U_j* per block
+(Choi, Lin. Alg. Appl. 10, 1975; Paulsen, Completely Bounded Maps and
+Operator Algebras, ch. 4).  With r_j the number of eigenvalues above the
+relative cutoff:
+
+- q_j = L_j^{1/2} U_j* on those r_j eigenvectors, and the quotient
+  coordinates Q = (+)_j 1_{n_j} (x) q_j satisfy Q* Q = G and Q Q+ = I, with
+  Q+ = (+)_j 1_{n_j} (x) U_j L_j^{-1/2};
+- the carrier has dimension d = sum_j n_j r_j, ordered (block, row, Kraus
+  index), and pi(a) = (+)_j a_j (x) 1_{r_j} is already in normal form;
+- the anchor V sends e_s to the class of 1_A (x) e_s: its rows (j, ., rho)
+  form K_rho*, for K_rho the Kraus operators of phi on block j.
 
 Morphisms of CP maps transport along the construction (L_T), algebra maps
 induce comparison isometries between dilations (L_f), and every other
@@ -27,10 +36,11 @@ from .algebra import (
     FdCStarAlgebra,
     StarHom,
     StarHomReport,
+    boxplus_rep_images,
     check_star_hom,
-    unit_product_index,
+    element_from_coefficients,
 )
-from .cpmap import OcpMap, is_completely_positive, is_ocp_morphism, pullback
+from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism, pullback
 from .errors import (
     DegenerateDimension,
     NotCompletelyPositive,
@@ -181,112 +191,77 @@ def _cp_gate(phi: OcpMap, tol: Tolerance):
 def gram_matrix(phi: OcpMap, tol: Tolerance = DEFAULT_TOL, check_cp: bool = True) -> np.ndarray:
     """Gram matrix of the induced form on A (x) C^k, basis index major.
 
-    Entry ((alpha, s), (beta, t)) is <e_s, phi(b_alpha* b_beta) e_t>; the
-    delta rule collapses the products of matrix units, so each block
-    contributes its Choi data along a shared left index.
+    Entry ((alpha, s), (beta, t)) is <e_s, phi(b_alpha* b_beta) e_t>.  By the
+    delta rule it vanishes unless alpha = (j, a, b) and beta = (j, a, c), where
+    it is C_j[(b, s), (c, t)]; so G is the direct sum of 1_{n_j} (x) C_j.  The
+    construction never forms G; it is the reference Q is checked against.
     """
     if check_cp:
         _cp_gate(phi, tol)
-    algebra = phi.domain
-    k = phi.k
-    d_total = algebra.dim * k
-    g = numerics.zeros(d_total, d_total)
-    for j, n in enumerate(algebra.blocks):
-        for a in range(n):
-            for b in range(n):
-                alpha = algebra.basis_index(j, a, b)
-                for d in range(n):
-                    beta = algebra.basis_index(j, a, d)
-                    img = phi.basis_images[algebra.basis_index(j, b, d)]
-                    g[alpha * k : (alpha + 1) * k, beta * k : (beta + 1) * k] = img
-    return g
+    return numerics.block_diag(
+        [kron(numerics.eye(n), c) for n, c in zip(phi.domain.blocks, choi_blocks(phi))]
+    )
 
 
 def left_mult_matrix(algebra: FdCStarAlgebra, k: int, coeffs) -> np.ndarray:
-    """Matrix of xi -> a xi on A (x) C^k coordinates, a given by basis coeffs."""
-    c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
-    dim = algebra.dim
-    out = numerics.zeros(dim * k, dim * k)
-    ident = numerics.eye(k)
-    for alpha in range(dim):
-        if c[alpha] == 0:
-            continue
-        for beta in range(dim):
-            gamma = unit_product_index(algebra, alpha, beta)
-            if gamma is not None:
-                out[gamma * k : (gamma + 1) * k, beta * k : (beta + 1) * k] += (
-                    c[alpha] * ident
-                )
-    return out
+    """Matrix of xi -> a xi on A (x) C^k coordinates, a given by basis coeffs.
 
-
-def unit_coordinates(phi: OcpMap) -> np.ndarray:
-    """Coordinates of 1_A (x) e_s, one column per s."""
-    algebra = phi.domain
-    k = phi.k
-    x = numerics.zeros(algebra.dim * k, k)
-    for j, n in enumerate(algebra.blocks):
-        for a in range(n):
-            alpha = algebra.basis_index(j, a, a)
-            for s in range(k):
-                x[alpha * k + s, s] = 1.0
-    return x
+    a E_bc = sum_z a_j[z, b] E_zc on block j, so the matrix is the direct sum
+    of a_j (x) 1_{n_j}, tensored with 1_k.  The reference pi is checked against.
+    """
+    a = element_from_coefficients(algebra, coeffs)
+    left = [kron(a_j, numerics.eye(n)) for a_j, n in zip(a.block_data, algebra.blocks)]
+    return kron(numerics.block_diag(left), numerics.eye(k))
 
 
 def stinespring_dilate(
     phi: OcpMap, tol: Tolerance = DEFAULT_TOL, check_cp: bool = True
 ) -> DilationCertificate:
-    """Minimal Stinespring dilation of a CP map.
+    """Minimal Stinespring dilation of a CP map, one eigensolve per Choi block.
 
-    The quotient dimension d is the Gram rank at the eps_rank cutoff; an
-    eigenvalue within a factor of 10 of the cutoff flags the certificate as
-    rank-unstable without rejecting it.  The zero map is rejected: its
-    dilation space would be empty.
+    The quotient dimension d is the Gram rank at the eps_rank cutoff,
+    relative to the largest eigenvalue over all blocks; an eigenvalue within a
+    factor of 10 of the cutoff flags the certificate as rank-unstable without
+    rejecting it.  The zero map is rejected: its dilation space would be empty.
     """
     if check_cp:
         _cp_gate(phi, tol)
     algebra = phi.domain
     k = phi.k
-    g = gram_matrix(phi, tol, check_cp=False)
-    w, u = numerics.hermitian_eig(g, tol)
-    lam_max = float(w[0])
+    eigs = [numerics.hermitian_eig(c, tol) for c in choi_blocks(phi)]
+    # the Gram spectrum: each Choi eigenvalue n_j times, descending
+    spectrum = np.concatenate([np.repeat(w, n) for (w, _), n in zip(eigs, algebra.blocks)])
+    spectrum = -np.sort(-spectrum)
+    lam_max = float(spectrum[0])
     if lam_max <= tol.eps_rank:
         raise DegenerateDimension("Gram matrix vanishes; the zero map has no dilation here")
     cut = tol.eps_rank * lam_max
-    d = int(np.count_nonzero(w > cut))
-    rank_unstable = bool(np.any((w > cut / 10.0) & (w < cut * 10.0)))
+    rank_unstable = bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))
 
-    roots = np.sqrt(w[:d])
-    q = roots[:, None] * dagger(u[:, :d])
-    q_pinv = u[:, :d] / roots[None, :]
-
-    support = q_pinv @ q
-    eye_big = numerics.eye(algebra.dim * k)
-    pi_images = []
+    ranks, q_blocks, q_pinv_blocks, v_blocks = [], [], [], []
     leakage = 0.0
-    dim = algebra.dim
-    for alpha in range(dim):
-        coeffs = np.zeros(dim)
-        coeffs[alpha] = 1.0
-        m_a = left_mult_matrix(algebra, k, coeffs)
-        pi_images.append(q @ m_a @ q_pinv)
-        leakage = max(leakage, max_abs(q @ m_a @ (eye_big - support)))
-
-    v = q @ unit_coordinates(phi)
-    rep = AnchoredRep(algebra, k, d, tuple(pi_images), v)
-
-    restriction = 0.0
-    for alpha in range(dim):
-        restriction = max(
-            restriction,
-            max_abs(dagger(v) @ pi_images[alpha] @ v - phi.basis_images[alpha]),
-        )
+    for n, (w, u) in zip(algebra.blocks, eigs):
+        r = int(np.count_nonzero(w > cut))
+        roots = np.sqrt(w[:r])
+        q_j = roots[:, None] * dagger(u[:, :r])
+        q_pinv_j = u[:, :r] / roots[None, :]
+        # Q M_a (I - Q+ Q) is E_ab (x) (q_j - q_j q_j+ q_j) on block j
+        leakage = max(leakage, max_abs(q_j - q_j @ q_pinv_j @ q_j))
+        ranks.append(r)
+        q_blocks.append(kron(numerics.eye(n), q_j))
+        q_pinv_blocks.append(kron(numerics.eye(n), q_pinv_j))
+        # V[(a, rho), s] = q_j[rho, (a, s)]
+        v_blocks.append(q_j.reshape(r, n, k).transpose(1, 0, 2).reshape(n * r, k))
+    images = boxplus_rep_images(algebra, ranks)
+    v = np.concatenate(v_blocks)
+    rep = AnchoredRep(algebra, k, images.shape[1], tuple(images), v)
+    restriction = max_abs(dagger(v) @ images @ v - np.stack(phi.basis_images))
     return DilationCertificate(
         rep=rep,
         source=phi,
-        Q=q,
-        q_pinv=q_pinv,
-        gram_eigenvalues=w,
+        Q=numerics.block_diag(q_blocks),
+        q_pinv=numerics.block_diag(q_pinv_blocks),
+        gram_eigenvalues=spectrum,
         tol=tol,
         rank_unstable=rank_unstable,
         residuals={"restriction": restriction, "leakage": leakage},

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom
+from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, boxplus_rep_images
 from .cpmap import OcpMap, kraus_map
 from .dilation import AnchoredRep, DilationCertificate, stinespring_dilate
 from .errors import ShapeMismatch
@@ -135,22 +135,6 @@ def random_hom(rng: np.random.Generator, source: FdCStarAlgebra, max_mult: int =
     target_blocks = [sum(m * n for m, n in zip(row, source.blocks)) for row in rows]
     unitaries = [random_unitary(rng, m) for m in target_blocks]
     return hom_from_multiplicities(source, rows, unitaries)
-
-
-def boxplus_rep_images(algebra: FdCStarAlgebra, mults) -> list[np.ndarray]:
-    """Basis images of the representation a -> boxplus_j (a_j (x) 1_{c_j})."""
-    images = []
-    for j, a, b in algebra.basis_labels():
-        n = algebra.blocks[j]
-        e = numerics.zeros(n, n)
-        e[a, b] = 1.0
-        pieces = []
-        for i, (nn, c) in enumerate(zip(algebra.blocks, mults)):
-            if c == 0:
-                continue
-            pieces.append(kron(e, numerics.eye(c)) if i == j else numerics.zeros(nn * c, nn * c))
-        images.append(numerics.block_diag(pieces))
-    return images
 
 
 def inflate_rep(

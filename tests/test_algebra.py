@@ -15,10 +15,11 @@ from dilatory.algebra import (
     identity_hom,
     matrix_units,
     unit_product_index,
+    unit_star_index,
 )
 from dilatory.dilation import stinespring_dilate
 from dilatory.errors import ShapeMismatch
-from dilatory.numerics import Tolerance, max_abs
+from dilatory.numerics import Tolerance, block_diag, kron, max_abs
 from dilatory.randgen import (
     boxplus_rep_images,
     inflate_rep,
@@ -78,6 +79,39 @@ def test_matrix_units_product_table():
                 assert max_abs(product) == 0.0
             else:
                 np.testing.assert_array_equal(product, embed_element(units[gamma]))
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 1, 3)])
+def test_label_tables_match_definitions(blocks):
+    # the tables cached per algebra against the explicit enumeration
+    algebra = FdCStarAlgebra(blocks)
+    labels = [(j, a, b) for j, n in enumerate(blocks) for a in range(n) for b in range(n)]
+    assert algebra.basis_labels() == labels
+    assert algebra == FdCStarAlgebra(list(blocks))
+    assert hash(algebra) == hash(FdCStarAlgebra(blocks))
+    assert repr(algebra) == f"FdCStarAlgebra(blocks={blocks!r})"
+    for alpha, (j, a, b) in enumerate(labels):
+        assert algebra.basis_index(j, a, b) == alpha
+        assert labels[unit_star_index(algebra, alpha)] == (j, b, a)
+        for beta, (j2, c, d) in enumerate(labels):
+            gamma = unit_product_index(algebra, alpha, beta)
+            expected = (j, a, d) if (j, b) == (j2, c) else None
+            assert (labels[gamma] if gamma is not None else None) == expected
+
+
+@pytest.mark.parametrize("mults", [(1, 0, 2), (0, 3, 1), (2, 2, 2), (0, 0, 0)])
+def test_boxplus_rep_images_match_kron_definition(mults):
+    # a -> (+)_j a_j (x) 1_{c_j}, built unit by unit from kron and block_diag
+    algebra = FdCStarAlgebra((2, 1, 3))
+    images = boxplus_rep_images(algebra, mults)
+    for (j, a, b), img in zip(algebra.basis_labels(), images):
+        pieces = []
+        for i, (n, c) in enumerate(zip(algebra.blocks, mults)):
+            e = np.zeros((n, n))
+            if i == j:
+                e[a, b] = 1.0
+            pieces.append(kron(e, np.eye(c)))
+        np.testing.assert_array_equal(img, block_diag(pieces))
 
 
 def test_units_resolve_identity():

@@ -277,3 +277,39 @@ def test_cli_env_tolerance(tmp_path, monkeypatch):
     # explicit flag wins over the environment
     assert main(["dilate", str(fixture), "--tol", "1e-9", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["tolerance"]["eps_eq"] == 1e-9
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["dilate", "{fixture}", "--tol", "0"], None),
+        (["dilate", "{fixture}", "--tol", "nan"], None),
+        (["dilate", "{fixture}", "--tol", "inf"], None),
+        (["dilate", "{fixture}", "--tol=-1e-9"], None),
+        (["laws", "--draws", "1"], "-1"),
+        (["laws", "--draws", "1"], "inf"),
+        (["laws", "--draws", "1"], "abc"),
+        (["laws", "--draws", "1", "--dims", "0"], None),
+    ],
+)
+def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env):
+    # one error line and exit 3, never a traceback or a verdict
+    fixture = tmp_path / "tau.json"
+    fixture.write_text(dumps(encode_ocp_map(tracial_map(2, 1))))
+    if env is None:
+        monkeypatch.delenv("DILATORY_TOL", raising=False)
+    else:
+        monkeypatch.setenv("DILATORY_TOL", env)
+    out = tmp_path / "out.json"
+    argv = [a.format(fixture=fixture) for a in argv] + ["--out", str(out)]
+    assert _exit_code(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()

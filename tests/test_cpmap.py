@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilatory.algebra import AlgebraElement, FdCStarAlgebra, matrix_units
+from dilatory.algebra import AlgebraElement, FdCStarAlgebra, matrix_units, unit_star_index
 from dilatory.cpmap import (
     OcpMap,
     OcpMorphism,
@@ -112,6 +112,19 @@ def test_choi_tracial_delta_pattern():
         tau = tracial_map(m, 1)
         blocks = choi_blocks(tau)
         np.testing.assert_allclose(blocks[0], np.eye(m) / m, atol=1e-15)
+
+
+def test_choi_blocks_match_entry_definition():
+    # entry ((a, s), (c, t)) of block j is phi(E^{(j)}_{ac})[s, t]
+    phi = random_cp_map(rng_for(5, 0), (2, 1, 3), 2, kraus_rank=2)
+    k = phi.k
+    for j, (n, block) in enumerate(zip(phi.domain.blocks, choi_blocks(phi))):
+        expected = np.zeros((n * k, n * k), dtype=complex)
+        for a in range(n):
+            for c in range(n):
+                img = phi.basis_images[phi.domain.basis_index(j, a, c)]
+                expected[a * k : (a + 1) * k, c * k : (c + 1) * k] = img
+        np.testing.assert_array_equal(block, expected)
 
 
 def test_choi_zero_map():
@@ -367,6 +380,26 @@ def test_cp_maps_are_selfadjoint():
     phi = random_cp_map(rng, (2, 1), 2, kraus_rank=2)
     report = is_completely_positive(phi, TOL)
     assert report.selfadjoint_residual <= TOL.eps_eq
+
+
+def test_selfadjoint_residual_is_per_unit_definition():
+    # a non-Hermitian map: the residual read off the Choi blocks is the
+    # per-unit definition max |phi(b)* - phi(b*)|, bit for bit
+    rng = rng_for(18, 0)
+    domain = FdCStarAlgebra((2, 1, 3))
+    images = tuple(
+        rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        for _ in range(domain.dim)
+    )
+    phi = OcpMap(domain, 3, images)
+    expected = max(
+        max_abs(images[alpha].conj().T - images[unit_star_index(domain, alpha)])
+        for alpha in range(domain.dim)
+    )
+    report = is_completely_positive(phi, TOL)
+    assert expected > 0.1
+    assert report.selfadjoint_residual == expected
+    assert not report.is_cp
 
 
 def test_dagger_morphism_roundtrip():

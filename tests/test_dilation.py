@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilatory.algebra import (
     FdCStarAlgebra,
+    boxplus_rep_images,
     compose_homs,
     identity_hom,
     matrix_units,
@@ -11,6 +13,7 @@ from dilatory.cpmap import (
     OcpMap,
     ad_map,
     apply,
+    kraus_map,
     pullback,
     tracial_map,
     unique_unital_hom_from_scalars,
@@ -18,6 +21,7 @@ from dilatory.cpmap import (
 )
 from dilatory.dilation import (
     AnchoredRep,
+    _span_columns,
     gns,
     gram_matrix,
     is_minimal,
@@ -41,8 +45,10 @@ from dilatory.errors import (
     NotMorphism,
     ShapeMismatch,
 )
+from dilatory.geometry import normal_form_general_rep
 from dilatory.numerics import Tolerance, kron, max_abs, op_norm
 from dilatory.randgen import (
+    complex_gaussian,
     inflate_rep,
     random_cp_map,
     random_hom,
@@ -623,3 +629,75 @@ def test_rank_instability_flag():
     shaky = OcpMap(clean.domain, 2, mixed_images)
     cert = stinespring_dilate(shaky, TOL)
     assert cert.rank_unstable
+
+
+def check_choi_factored(phi, ranks):
+    """The dilation against its definitions: the Gram form, left
+    multiplication, the mediating identity and the boxplus normal form."""
+    algebra, k = phi.domain, phi.k
+    cert = stinespring_dilate(phi, TOL)
+    q, q_pinv = cert.Q, cert.q_pinv
+    d = sum(n * r for n, r in zip(algebra.blocks, ranks))
+    assert cert.dimension == d
+    assert q.shape == (d, algebra.dim * k)
+
+    g = gram_matrix(phi, TOL)
+    scale = max_abs(g)
+    assert max_abs(q.conj().T @ q - g) <= 1e-10 * scale
+    assert max_abs(q @ q_pinv - np.eye(d)) <= 1e-10
+    np.testing.assert_allclose(
+        np.sort(cert.gram_eigenvalues), np.linalg.eigvalsh(g), rtol=0, atol=1e-10 * scale
+    )
+
+    for alpha, img in enumerate(cert.rep.pi_images):
+        unit = np.zeros(algebra.dim)
+        unit[alpha] = 1.0
+        compressed = q @ left_mult_matrix(algebra, k, unit) @ q_pinv
+        assert max_abs(img - compressed) <= 1e-10
+    assert cert.residuals["leakage"] <= TOL.eps_eq
+    assert cert.residuals["restriction"] <= TOL.eps_eq
+
+    # m sends the class of b_alpha (x) e_s to pi(b_alpha) V e_s
+    assert max_abs(_span_columns(cert.rep) - q) <= 1e-10 * np.sqrt(scale)
+    np.testing.assert_array_equal(
+        np.stack(cert.rep.pi_images), boxplus_rep_images(algebra, ranks)
+    )
+    mults, _ = normal_form_general_rep(cert.rep.pi_images, algebra, TOL)
+    assert mults == tuple(ranks)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 4)), min_size=1, max_size=3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_choi_factored_dilation_matches_definitions(shape, k, seed):
+    # Gaussian Kraus families of rank kr_j give Choi rank min(kr_j, n_j k);
+    # an empty family makes the map vanish on its block
+    if all(kr == 0 for _, kr in shape):
+        shape[0] = (shape[0][0], 1)
+    rng = rng_for(seed, 0)
+    blocks = tuple(n for n, _ in shape)
+    families = [[complex_gaussian(rng, k, n) for _ in range(kr)] for n, kr in shape]
+    phi = kraus_map(families, FdCStarAlgebra(blocks), k)
+    check_choi_factored(phi, [min(kr, n * k) for n, kr in shape])
+
+
+def test_choi_factored_dilation_vanishing_block():
+    # a zero Kraus family on the middle block: r = 0 there, and pi of its
+    # units is the zero operator on the carrier
+    rng = rng_for(48, 0)
+    algebra = FdCStarAlgebra((2, 3, 1))
+    k = 2
+    families = [
+        [complex_gaussian(rng, k, 2) for _ in range(2)],
+        [np.zeros((k, 3))],
+        [complex_gaussian(rng, k, 1)],
+    ]
+    phi = kraus_map(families, algebra, k)
+    check_choi_factored(phi, [2, 0, 1])
+    cert = stinespring_dilate(phi, TOL)
+    assert cert.dimension == 5
+    for alpha in range(4, 13):
+        assert max_abs(cert.rep.pi_images[alpha]) == 0.0

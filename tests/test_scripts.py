@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scripts/run_laws.py", "--draws", "2"], ["scripts/purification_demo.py"]],
+)
+def test_demo_script_runs(argv):
+    # the demos print dilation internals, so they break when those change
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
