@@ -4,13 +4,12 @@ Exit codes are part of the contract: 0 success, 1 law failure, 2 not
 completely positive, 3 malformed input, 4 restriction mismatch, 5 not
 unitarily equivalent.  The DILATORY_TOL environment variable overrides the
 default tolerance when --tol is not given explicitly; a tolerance that is not
-a positive finite number, like a --dims below 1, is malformed input.
+a positive number below 1, like a --dims below 1, is malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import NoReturn
@@ -63,8 +62,8 @@ def _tolerance_from(args) -> Tolerance:
             value = float(raw)
         except ValueError:
             _reject(f"{source} is not a number")
-    if not (math.isfinite(value) and value > 0.0):
-        _reject(f"{source} gives tolerance {value!r}; it must be positive and finite")
+    if not 0.0 < value < 1.0:
+        _reject(f"{source} gives tolerance {value!r}; it must be positive and below 1")
     # eps_rank cannot go below machine epsilon; eps_eq may, and an absurdly
     # tight eps_eq is the documented way to make the law suite fail loudly
     return Tolerance(eps_rank=max(value, _MACHINE_EPS), eps_eq=value)

@@ -222,7 +222,9 @@ def stinespring_dilate(
     The quotient dimension d is the Gram rank at the eps_rank cutoff,
     relative to the largest eigenvalue over all blocks; an eigenvalue within a
     factor of 10 of the cutoff flags the certificate as rank-unstable without
-    rejecting it.  The zero map is rejected: its dilation space would be empty.
+    rejecting it.  Only a map with no positive Choi eigenvalue is rejected as
+    the zero map (its dilation space would be empty), so the decision does
+    not depend on the scale of the map.
     """
     if check_cp:
         _cp_gate(phi, tol)
@@ -233,7 +235,7 @@ def stinespring_dilate(
     spectrum = np.concatenate([np.repeat(w, n) for (w, _), n in zip(eigs, algebra.blocks)])
     spectrum = -np.sort(-spectrum)
     lam_max = float(spectrum[0])
-    if lam_max <= tol.eps_rank:
+    if lam_max <= 0.0:
         raise DegenerateDimension("Gram matrix vanishes; the zero map has no dilation here")
     cut = tol.eps_rank * lam_max
     rank_unstable = bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))

@@ -32,8 +32,9 @@ class Tolerance:
     """Numerical cutoffs: ``eps_rank`` for spectra, ``eps_eq`` for residuals.
 
     ``eps_rank`` is a relative spectral cutoff (an eigenvalue below
-    eps_rank * lambda_max counts as zero); ``eps_eq`` bounds max-abs residuals
-    in equality tests.
+    eps_rank * lambda_max counts as zero), so it lies in [machine epsilon, 1):
+    a cutoff of 1 or more would zero every spectrum.  ``eps_eq`` bounds
+    max-abs residuals in equality tests.
     """
 
     eps_rank: float = 1e-9
@@ -44,6 +45,8 @@ class Tolerance:
             raise ValueError("tolerances must be strictly positive")
         if self.eps_rank < _MACHINE_EPS:
             raise ValueError("eps_rank below machine epsilon")
+        if self.eps_rank >= 1.0:
+            raise ValueError("eps_rank must be below 1; a relative cutoff of 1 zeroes every spectrum")
 
 
 DEFAULT_TOL = Tolerance()

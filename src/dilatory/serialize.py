@@ -5,11 +5,23 @@ Complex numbers are two-element [re, im] arrays; matrices carry explicit
 basis convention ("block-major,row-major") so files are self-describing.
 Dumping uses sorted keys and repr-exact floats, so a fixed input always
 produces identical bytes and parse(serialize(x)) returns x bit-exactly.
+
+``dumps`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
+indent=2) + "\n"``: the same key order, escapes, float and int spellings
+and layout, and a ``TypeError`` for whatever json rejects.  It does not call
+``json.dumps`` because with ``indent`` json always runs its pure-Python
+encoder, one generator step per float, and a certificate holds hundreds of
+thousands of floats.  Instead a row of finite [re, im] pairs, the bulk of
+every matrix, is written in one step by filling a ``%s`` template made once
+per row width and depth with the ``float.__repr__`` of its entries.
 """
 
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -24,12 +36,9 @@ BASIS_ORDER = "block-major,row-major"
 
 
 def encode_matrix(m) -> dict:
-    a = np.asarray(m, dtype=np.complex128)
+    a = np.ascontiguousarray(m, dtype=np.complex128)
     rows, cols = a.shape
-    entries = [
-        [[float(a[i, j].real), float(a[i, j].imag)] for j in range(cols)]
-        for i in range(rows)
-    ]
+    entries = a.view(np.float64).reshape(rows, cols, 2).tolist()
     return {"rows": rows, "cols": cols, "entries": entries}
 
 
@@ -38,6 +47,8 @@ def decode_matrix(obj) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         entries = obj["entries"]
+        if len(entries) != rows:
+            raise MalformedInput(f"matrix has {len(entries)} rows, expected {rows}")
         out = np.zeros((rows, cols), dtype=np.complex128)
         for i in range(rows):
             row = entries[i]
@@ -190,7 +201,99 @@ def _expect_kind(obj, kind: str):
 
 def dumps(obj: dict) -> str:
     """Canonical bytes: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_str(x: float) -> str:
+    if isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _key_str(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, float):
+        return _encode_str(_float_str(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _encode_str(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(o, depth: int, out: list):
+    """Append the indented JSON of o at the given nesting depth to out."""
+    if isinstance(o, str):
+        out.append(_encode_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_str(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        flat = _pair_row(o)
+        if flat is not None:
+            out.append(_row_template(len(o), depth) % flat)
+            return
+        inner = "\n" + "  " * (depth + 1)
+        out.append("[")
+        sep = inner
+        for item in o:
+            out.append(sep)
+            _write(item, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = "\n" + "  " * (depth + 1)
+        out.append("{")
+        sep = inner
+        for key, value in sorted(o.items()):
+            out.append(sep + _key_str(key) + ": ")
+            _write(value, depth + 1, out)
+            sep = "," + inner
+        out.append("\n" + "  " * depth + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _pair_row(o) -> tuple | None:
+    """The float reprs of a row of finite [re, im] float pairs, else None."""
+    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
+        return None
+    flat = tuple(chain.from_iterable(o))
+    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
+        return None
+    return tuple(map(float.__repr__, flat))
+
+
+@lru_cache(maxsize=None)
+def _row_template(cols: int, depth: int) -> str:
+    """The %s layout json gives a row of cols [re, im] pairs at this depth."""
+    outer, pair, item = ("\n" + "  " * (depth + i) for i in range(3))
+    cell = pair + "[" + item + "%s," + item + "%s" + pair + "]"
+    return "[" + ",".join([cell] * cols) + outer + "]"
 
 
 def loads(text: str) -> dict:

@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilatory.algebra import FdCStarAlgebra
 from dilatory.cli import main
-from dilatory.cpmap import tracial_map
+from dilatory.cpmap import OcpMap, tracial_map
 from dilatory.dilation import stinespring_dilate
 from dilatory.errors import MalformedInput
 from dilatory.numerics import Tolerance
@@ -103,6 +105,18 @@ def test_decode_rejects_malformed():
         decode_ocp_map({"kind": "anchored_rep"})
     with pytest.raises(MalformedInput):
         decode_matrix({"rows": 2, "cols": 2, "entries": [[[0, 0]]]})
+
+
+def test_decode_matrix_rejects_extra_rows(tmp_path, capsys):
+    with pytest.raises(MalformedInput):
+        decode_matrix({"rows": 1, "cols": 1, "entries": [[[1, 0]], [[2, 0]]]})
+    payload = encode_ocp_map(tracial_map(2, 1))
+    entries = payload["basis_images"][0]["entries"]
+    entries.append(entries[0])
+    fixture = tmp_path / "extra_row.json"
+    fixture.write_text(json.dumps(payload))
+    assert main(["dilate", str(fixture)]) == 3
+    assert "rows" in capsys.readouterr().err
 
 
 def run_cli(args, capsys=None):
@@ -297,6 +311,9 @@ def _exit_code(argv):
         (["laws", "--draws", "1"], "inf"),
         (["laws", "--draws", "1"], "abc"),
         (["laws", "--draws", "1", "--dims", "0"], None),
+        (["dilate", "{fixture}", "--tol", "1"], None),
+        (["dilate", "{fixture}", "--tol", "10"], None),
+        (["dilate", "{fixture}"], "10"),
     ],
 )
 def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env):
@@ -313,3 +330,158 @@ def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env)
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1.0, -2.5]),
+)
+_floats = st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+_text = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "é", "\u00ff\u2028", "\U0001f600", '"quoted"', "back\\slash", "tab\tnew\nline\x00"]),
+)
+_ints = st.one_of(st.integers(-1000, 1000), st.integers(-(2**80), 2**80))
+
+
+@st.composite
+def _pair_rows(draw):
+    """A matrix row of [re, im] float pairs, sometimes salted off the hot path."""
+    row = [[draw(_finite), draw(_finite)] for _ in range(draw(st.integers(1, 4)))]
+    i = draw(st.integers(0, len(row) - 1))
+    j = draw(st.integers(0, 1))
+    salt = draw(st.sampled_from(["none", "int", "bool", "nan", "triple", "float64"]))
+    if salt == "int":
+        row[i][j] = draw(_ints)
+    elif salt == "bool":
+        row[i][j] = draw(st.booleans())
+    elif salt == "nan":
+        row[i][j] = math.nan
+    elif salt == "triple":
+        row[i].append(draw(_finite))
+    elif salt == "float64":
+        row[i][j] = np.float64(row[i][j])
+    return row
+
+
+_json_trees = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, _floats, _text, _pair_rows()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(obj=_json_trees)
+def test_dumps_matches_json_reference(obj):
+    assert dumps(obj) == reference_dumps(obj)
+
+
+@settings(deadline=None, max_examples=50)
+@given(rows=st.lists(_pair_rows(), min_size=1, max_size=4), depth=st.integers(0, 3))
+def test_dumps_matches_json_reference_on_nested_matrices(rows, depth):
+    obj = {"entries": rows}
+    for _ in range(depth):
+        obj = {"m": [obj, {}]}
+    assert dumps(obj) == reference_dumps(obj)
+
+
+def test_dumps_non_string_keys_match_json():
+    for obj in ({1: [], 2: {}}, {2.5: 1, math.inf: 2}, {None: 0}, {True: 1, False: 2}):
+        assert dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, np.int64(3), [np.int64(3)], {"a": np.bool_(True)}, {(1, 2): 0}]
+)
+def test_dumps_rejects_what_json_rejects(obj):
+    with pytest.raises(TypeError):
+        reference_dumps(obj)
+    with pytest.raises(TypeError):
+        dumps(obj)
+
+
+def encode_matrix_per_entry(m) -> dict:
+    # the per-entry loop encode_matrix replaced, kept as its reference
+    a = np.asarray(m, dtype=np.complex128)
+    rows, cols = a.shape
+    entries = [
+        [[float(a[i, j].real), float(a[i, j].imag)] for j in range(cols)]
+        for i in range(rows)
+    ]
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def _matrix_inputs():
+    rng = rng_for(97, 0)
+    c = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    c[0, 0] = complex(-0.0, -0.0)
+    c[1, 2] = complex(5e-324, 1e16)
+    yield c
+    yield np.asfortranarray(c)
+    yield c.T
+    yield c[::2, ::-1]
+    yield rng.standard_normal((3, 5))
+    yield np.arange(6, dtype=np.int64).reshape(2, 3)
+    yield np.zeros((0, 4), dtype=complex)
+    yield np.zeros((4, 0), dtype=complex)
+    yield [[1, 2j], [-0.0, 3.5]]
+
+
+@pytest.mark.parametrize("m", list(_matrix_inputs()), ids=lambda m: str(np.shape(m)))
+def test_encode_matrix_equals_per_entry_reference(m):
+    # repr compares values, -0.0 and the exact float type at once
+    assert repr(encode_matrix(m)) == repr(encode_matrix_per_entry(m))
+
+
+def test_encode_matrix_rejects_non_matrices():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+        with pytest.raises(ValueError):
+            encode_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["random", "--seed", "2", "--blocks", "1,2", "--k", "2"], 0),
+        (["dilate", "{phi}"], 0),
+        (["dilate", "{transpose}"], 2),
+        (["purify", "{rep1}", "{rep2}"], 0),
+        (["laws", "--draws", "2"], 0),
+        (["laws", "--draws", "2", "--tol", "1e-30"], 1),
+    ],
+    ids=["ocp_map", "certificate", "not_cp_report", "purification", "laws", "laws_error"],
+)
+def test_cli_output_is_canonical(tmp_path, monkeypatch, argv, code):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    rng = rng_for(98, 0)
+    _, _, rep1, rep2 = random_dilation_pair(rng, (1, 2), 2, TOL, extra1=[1, 0], extra2=[1, 0])
+    domain = FdCStarAlgebra((2,))
+    transpose = []
+    for _, a, b in domain.basis_labels():
+        e = np.zeros((2, 2), dtype=complex)
+        e[b, a] = 1.0
+        transpose.append(e)
+    inputs = {
+        "phi": encode_ocp_map(random_cp_map(rng, (2, 1), 3, kraus_rank=2)),
+        "transpose": encode_ocp_map(OcpMap(domain, 2, tuple(transpose))),
+        "rep1": encode_anchored_rep(rep1),
+        "rep2": encode_anchored_rep(rep2),
+    }
+    paths = {}
+    for name, payload in inputs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == code
+    text = out.read_text()
+    assert text == reference_dumps(json.loads(text))
+    if argv[-1] == "1e-30":
+        assert "error" in json.loads(text)

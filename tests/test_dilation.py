@@ -701,3 +701,29 @@ def test_choi_factored_dilation_vanishing_block():
     assert cert.dimension == 5
     for alpha in range(4, 13):
         assert max_abs(cert.rep.pi_images[alpha]) == 0.0
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    log_scale=st.floats(-12.0, 3.0),
+)
+def test_dilation_is_scale_free(shape, k, seed, log_scale):
+    # a positive multiple s phi has the same Choi ranks, so the same d and pi;
+    # a tiny but nonzero map is not the zero map
+    if all(kr == 0 for _, kr in shape):
+        shape[0] = (shape[0][0], 1)
+    rng = rng_for(seed, 0)
+    algebra = FdCStarAlgebra(tuple(n for n, _ in shape))
+    families = [[complex_gaussian(rng, k, n) for _ in range(kr)] for n, kr in shape]
+    phi = kraus_map(families, algebra, k)
+    s = 10.0**log_scale
+    scaled = OcpMap(algebra, k, tuple(s * m for m in phi.basis_images))
+    ranks = [min(kr, n * k) for n, kr in shape]
+    for cert in (stinespring_dilate(phi, TOL), stinespring_dilate(scaled, TOL)):
+        assert cert.dimension == sum(n * r for n, r in zip(algebra.blocks, ranks))
+        np.testing.assert_array_equal(
+            np.stack(cert.rep.pi_images), boxplus_rep_images(algebra, ranks)
+        )

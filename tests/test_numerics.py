@@ -31,6 +31,15 @@ def test_tolerance_validation():
         Tolerance(eps_rank=1e-30)
 
 
+def test_tolerance_rejects_relative_cutoff_of_one():
+    # eps_rank is relative to lambda_max, so 1 or more zeroes every spectrum
+    with pytest.raises(ValueError):
+        Tolerance(eps_rank=1.0)
+    with pytest.raises(ValueError):
+        Tolerance(eps_rank=10.0)
+    assert Tolerance(eps_rank=0.5, eps_eq=10.0).eps_eq == 10.0
+
+
 def test_as_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
