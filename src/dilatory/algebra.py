@@ -282,7 +282,11 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
 
     Solves X S = S X for every generator S and its adjoint by stacking the
     commutator superoperators (column-stacking convention) and extracting
-    their joint null space at the eps_rank cutoff.
+    their joint null space at the eps_rank cutoff, relative to the top
+    singular value of the stack.  The stack has norm at most 2 max ||S||_F,
+    so a top singular value at or below eps_rank * max ||S||_F is rounding
+    (scalar generators) and the commutant is everything; both tests are
+    invariant under rescaling the generators.
     """
     n = int(ambient_dim)
     gens = [as_matrix(g) for g in generators]
@@ -299,9 +303,10 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
         block = stacked[i * n2 : (i + 1) * n2]
         block[:] = kron(ident, s)
         block -= kron(s.T, ident)
+    scale = max(float(np.linalg.norm(g)) for g in gens)
     sing, v = numerics.right_singular(stacked)
     smax = float(sing[0]) if sing.size else 0.0
-    if smax <= tol.eps_rank:
+    if smax <= tol.eps_rank * scale:
         null_cols = range(n2)
     else:
         rank = int(np.count_nonzero(sing > tol.eps_rank * smax))

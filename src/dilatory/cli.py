@@ -30,14 +30,14 @@ from .numerics import Tolerance, _MACHINE_EPS
 from .randgen import random_cp_map, rng_for
 from .serialize import (
     SCHEMA,
+    certificate_doc,
     decode_anchored_rep,
     decode_ocp_map,
     dumps,
-    encode_certificate,
-    encode_matrix,
-    encode_ocp_map,
     encode_tolerance,
     loads,
+    matrix_doc,
+    ocp_map_doc,
 )
 
 EXIT_OK = 0
@@ -109,8 +109,7 @@ def cmd_dilate(args) -> int:
         # degenerate or forced inputs surface here (zero map, broken symmetry)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NOT_CP
-    payload = encode_certificate(cert)
-    _write(dumps(payload), args.out)
+    _write(dumps(certificate_doc(cert)), args.out)
     return EXIT_OK
 
 
@@ -146,7 +145,7 @@ def cmd_purify(args) -> int:
         "schema": SCHEMA,
         "kind": "purification",
         "label": label,
-        "U": encode_matrix(u),
+        "U": matrix_doc(u),
         "residuals": {k: float(v) for k, v in sorted(residuals.items())},
         "tolerance": encode_tolerance(tol),
     }
@@ -229,7 +228,7 @@ def cmd_random(args) -> int:
         return EXIT_PARSE
     tol = _tolerance_from(args)
     report = is_completely_positive(phi, tol)
-    payload = encode_ocp_map(phi)
+    payload = ocp_map_doc(phi)
     payload["seed"] = args.seed
     payload["is_cp"] = report.is_cp
     payload["is_unital"] = is_unital(phi, tol)

@@ -389,11 +389,16 @@ def universal_factorization(
 
 
 def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether pi(A) V(C^k) spans the whole carrier space."""
+    """Whether pi(A) V(C^k) spans the whole carrier space.
+
+    The rank cut is relative to the largest singular value of the spanning
+    columns, so the answer does not change when V is rescaled; only an
+    exactly zero span counts as empty.
+    """
     # rank(cols) = rank(cols*); the tall orientation keeps the discarded V at h x h
     sing, _ = numerics.right_singular(dagger(_span_columns(rep)))
     smax = float(sing[0]) if sing.size else 0.0
-    if smax <= tol.eps_rank:
+    if smax == 0.0:
         return False
     rank = int(np.count_nonzero(sing > tol.eps_rank * smax))
     return rank == rep.h

@@ -5,15 +5,28 @@ Complex numbers are two-element [re, im] arrays; matrices carry explicit
 basis convention ("block-major,row-major") so files are self-describing.
 Dumping uses sorted keys and repr-exact floats, so a fixed input always
 produces identical bytes and parse(serialize(x)) returns x bit-exactly.
+Sizes ("rows", "cols", "k", "h", "blocks") must be JSON integers; a float
+or a bool there is malformed input, never rounded.
 
-``dumps`` writes exactly the bytes of ``json.dumps(obj, sort_keys=True,
-indent=2) + "\n"``: the same key order, escapes, float and int spellings
-and layout, and a ``TypeError`` for whatever json rejects.  It does not call
-``json.dumps`` because with ``indent`` json always runs its pure-Python
-encoder, one generator step per float, and a certificate holds hundreds of
-thousands of floats.  Instead a row of finite [re, im] pairs, the bulk of
-every matrix, is written in one step by filling a ``%s`` template made once
-per row width and depth with the ``float.__repr__`` of its entries.
+The document builders ``matrix_doc``, ``ocp_map_doc``, ``anchored_rep_doc``
+and ``certificate_doc`` leave each matrix's "entries" as its 2-D complex128
+array; the public ``encode_*`` functions return the same documents with
+those arrays turned into JSON-native [re, im] lists.
+
+``dumps`` writes exactly the bytes of ``json.dumps(native, sort_keys=True,
+indent=2) + "\n"``, where ``native`` is the document with its arrays turned
+into lists: the same key order, escapes, float and int spellings and
+layout, and a ``TypeError`` for whatever json rejects.  Any ndarray other
+than a 2-D complex128 one is rejected too.  It does not call ``json.dumps``
+because with ``indent`` json always runs its pure-Python encoder, one
+generator step per float, and a certificate holds hundreds of thousands of
+floats.  Instead a matrix array is written row by row: each distinct row,
+keyed by its exact bytes (so -0.0 and 0.0 stay apart), is formatted once
+by filling a ``%s`` template made once per row width and depth with the
+``float.__repr__`` of its entries, or with json's ``NaN``/``Infinity``
+spellings when the array holds a non-finite entry.  The pi images of a
+canonical dilation, 0/1 matrices of mostly zero rows, have few distinct
+rows.  Lists, matrices included, take the general per-value path.
 """
 
 from __future__ import annotations
@@ -25,43 +38,67 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, check_star_hom
-from .cpmap import OcpMap, is_completely_positive
-from .dilation import AnchoredRep, DilationCertificate, validate_rep
+from .algebra import AlgebraElement, FdCStarAlgebra, StarHom
+from .cpmap import OcpMap
+from .dilation import AnchoredRep, DilationCertificate
 from .errors import MalformedInput
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import Tolerance
 
 SCHEMA = "dilatory/v1"
 BASIS_ORDER = "block-major,row-major"
 
 
-def encode_matrix(m) -> dict:
+def matrix_doc(m) -> dict:
+    """The matrix object of m, its entries left as a complex128 array."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
     rows, cols = a.shape
-    entries = a.view(np.float64).reshape(rows, cols, 2).tolist()
-    return {"rows": rows, "cols": cols, "entries": entries}
+    return {"rows": rows, "cols": cols, "entries": a}
+
+
+def _native(o):
+    """o with every entries array turned into its nested [re, im] lists."""
+    if isinstance(o, np.ndarray):
+        rows, cols = o.shape
+        return o.view(np.float64).reshape(rows, cols, 2).tolist()
+    if isinstance(o, dict):
+        return {key: _native(value) for key, value in o.items()}
+    if isinstance(o, list):
+        return [_native(item) for item in o]
+    return o
+
+
+def encode_matrix(m) -> dict:
+    return _native(matrix_doc(m))
+
+
+def _size(value) -> int:
+    """A size field, which must be a non-negative JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise MalformedInput(f"size {value!r} is not a non-negative integer")
+    return value
 
 
 def decode_matrix(obj) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _size(obj["rows"])
+        cols = _size(obj["cols"])
         entries = obj["entries"]
-        if len(entries) != rows:
-            raise MalformedInput(f"matrix has {len(entries)} rows, expected {rows}")
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        for i in range(rows):
-            row = entries[i]
-            if len(row) != cols:
-                raise MalformedInput(f"row {i} has {len(row)} entries, expected {cols}")
-            for j in range(cols):
-                re, im = row[j]
-                out[i, j] = complex(float(re), float(im))
-    except MalformedInput:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        pairs = np.array(entries, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInput(f"bad matrix object: {exc}") from exc
-    return out
+    # json spells no rows as [] and rows of no entries as [[], ...]
+    shape = (rows, cols, 2) if rows and cols else (rows, cols) if rows else (0,)
+    if pairs.shape != shape:
+        raise MalformedInput(
+            f"matrix entries have shape {pairs.shape}, expected {rows} rows "
+            f"of {cols} [re, im] pairs"
+        )
+    if not (rows and cols):
+        return np.zeros((rows, cols), dtype=np.complex128)
+    # the conversion reads null as NaN; only a NaN can hide one
+    if np.isnan(pairs).any() and None in chain.from_iterable(chain.from_iterable(entries)):
+        raise MalformedInput("bad matrix object: null entry")
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def encode_algebra(a: FdCStarAlgebra) -> dict:
@@ -70,7 +107,10 @@ def encode_algebra(a: FdCStarAlgebra) -> dict:
 
 def decode_algebra(obj) -> FdCStarAlgebra:
     try:
-        return FdCStarAlgebra(tuple(int(n) for n in obj["blocks"]))
+        blocks = obj["blocks"]
+        if not isinstance(blocks, list):
+            raise TypeError(f"blocks {blocks!r} is not a list")
+        return FdCStarAlgebra(tuple(_size(n) for n in blocks))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad algebra object: {exc}") from exc
 
@@ -86,22 +126,26 @@ def decode_tolerance(obj) -> Tolerance:
         raise MalformedInput(f"bad tolerance object: {exc}") from exc
 
 
-def encode_ocp_map(phi: OcpMap) -> dict:
+def ocp_map_doc(phi: OcpMap) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "ocp_map",
         "basis_order": BASIS_ORDER,
         "domain": encode_algebra(phi.domain),
         "k": phi.k,
-        "basis_images": [encode_matrix(m) for m in phi.basis_images],
+        "basis_images": [matrix_doc(m) for m in phi.basis_images],
     }
+
+
+def encode_ocp_map(phi: OcpMap) -> dict:
+    return _native(ocp_map_doc(phi))
 
 
 def decode_ocp_map(obj) -> OcpMap:
     _expect_kind(obj, "ocp_map")
     try:
         domain = decode_algebra(obj["domain"])
-        k = int(obj["k"])
+        k = _size(obj["k"])
         images = tuple(decode_matrix(m) for m in obj["basis_images"])
         return OcpMap(domain, k, images)
     except MalformedInput:
@@ -147,7 +191,7 @@ def decode_star_hom(obj) -> StarHom:
         raise MalformedInput(f"bad star hom object: {exc}") from exc
 
 
-def encode_anchored_rep(rep: AnchoredRep) -> dict:
+def anchored_rep_doc(rep: AnchoredRep) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "anchored_rep",
@@ -155,17 +199,21 @@ def encode_anchored_rep(rep: AnchoredRep) -> dict:
         "domain": encode_algebra(rep.algebra),
         "k": rep.k,
         "h": rep.h,
-        "pi_images": [encode_matrix(m) for m in rep.pi_images],
-        "V": encode_matrix(rep.V),
+        "pi_images": [matrix_doc(m) for m in rep.pi_images],
+        "V": matrix_doc(rep.V),
     }
+
+
+def encode_anchored_rep(rep: AnchoredRep) -> dict:
+    return _native(anchored_rep_doc(rep))
 
 
 def decode_anchored_rep(obj) -> AnchoredRep:
     _expect_kind(obj, "anchored_rep")
     try:
         algebra = decode_algebra(obj["domain"])
-        k = int(obj["k"])
-        h = int(obj["h"])
+        k = _size(obj["k"])
+        h = _size(obj["h"])
         images = tuple(decode_matrix(m) for m in obj["pi_images"])
         v = decode_matrix(obj["V"])
         return AnchoredRep(algebra, k, h, images, v)
@@ -175,19 +223,23 @@ def decode_anchored_rep(obj) -> AnchoredRep:
         raise MalformedInput(f"bad anchored rep object: {exc}") from exc
 
 
-def encode_certificate(cert: DilationCertificate) -> dict:
+def certificate_doc(cert: DilationCertificate) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "dilation_certificate",
         "basis_order": BASIS_ORDER,
         "dimension": cert.dimension,
-        "rep": encode_anchored_rep(cert.rep),
-        "Q": encode_matrix(cert.Q),
+        "rep": anchored_rep_doc(cert.rep),
+        "Q": matrix_doc(cert.Q),
         "gram_eigenvalues": [float(x) for x in cert.gram_eigenvalues],
         "residuals": {k: float(v) for k, v in sorted(cert.residuals.items())},
         "rank_unstable": bool(cert.rank_unstable),
         "tolerance": encode_tolerance(cert.tol),
     }
+
+
+def encode_certificate(cert: DilationCertificate) -> dict:
+    return _native(certificate_doc(cert))
 
 
 def _expect_kind(obj, kind: str):
@@ -200,9 +252,13 @@ def _expect_kind(obj, kind: str):
 
 
 def dumps(obj: dict) -> str:
-    """Canonical bytes: sorted keys, two-space indent, trailing newline."""
+    """Canonical bytes: sorted keys, two-space indent, trailing newline.
+
+    obj may hold 2-D complex128 arrays, written as json writes their
+    ``[re, im]`` entry lists.
+    """
     out: list[str] = []
-    _write(obj, 0, out)
+    _write(obj, 0, out, {})
     out.append("\n")
     return "".join(out)
 
@@ -232,8 +288,11 @@ def _key_str(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write(o, depth: int, out: list):
-    """Append the indented JSON of o at the given nesting depth to out."""
+def _write(o, depth: int, out: list, row_text: dict):
+    """Append the indented JSON of o at the given nesting depth to out.
+
+    row_text[depth][row bytes] is the text of each matrix row written so far.
+    """
     if isinstance(o, str):
         out.append(_encode_str(o))
     elif o is None:
@@ -250,16 +309,12 @@ def _write(o, depth: int, out: list):
         if not o:
             out.append("[]")
             return
-        flat = _pair_row(o)
-        if flat is not None:
-            out.append(_row_template(len(o), depth) % flat)
-            return
         inner = "\n" + "  " * (depth + 1)
         out.append("[")
         sep = inner
         for item in o:
             out.append(sep)
-            _write(item, depth + 1, out)
+            _write(item, depth + 1, out, row_text)
             sep = "," + inner
         out.append("\n" + "  " * depth + "]")
     elif isinstance(o, dict):
@@ -271,21 +326,38 @@ def _write(o, depth: int, out: list):
         sep = inner
         for key, value in sorted(o.items()):
             out.append(sep + _key_str(key) + ": ")
-            _write(value, depth + 1, out)
+            _write(value, depth + 1, out, row_text)
             sep = "," + inner
         out.append("\n" + "  " * depth + "}")
+    elif type(o) is np.ndarray and o.ndim == 2 and o.dtype == np.complex128:
+        _write_matrix(o, depth, out, row_text)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _pair_row(o) -> tuple | None:
-    """The float reprs of a row of finite [re, im] float pairs, else None."""
-    if set(map(type, o)) != {list} or set(map(len, o)) != {2}:
-        return None
-    flat = tuple(chain.from_iterable(o))
-    if set(map(type, flat)) != {float} or not all(map(isfinite, flat)):
-        return None
-    return tuple(map(float.__repr__, flat))
+def _write_matrix(a: np.ndarray, depth: int, out: list, row_text: dict):
+    """Append the JSON of a's [re, im] entry lists, each distinct row formatted once."""
+    rows, cols = a.shape
+    if rows == 0:
+        out.append("[]")
+        return
+    if cols == 0:
+        lines = ["[]"] * rows
+    else:
+        # one bytes key per row: equal keys are equal rows, bit for bit
+        keys = np.ascontiguousarray(a).view(np.dtype((np.void, 16 * cols))).ravel().tolist()
+        text = row_text.setdefault(depth, {})
+        new = [key for key in dict.fromkeys(keys) if key not in text]
+        if new:
+            # _float_str spells a finite float as float.__repr__ does, so a
+            # row's text depends only on its bytes and depth
+            fmt = float.__repr__ if np.isfinite(a).all() else _float_str
+            template = _row_template(cols, depth + 1)
+            for key in new:
+                text[key] = template % tuple(map(fmt, np.frombuffer(key).tolist()))
+        lines = map(text.__getitem__, keys)
+    inner = "\n" + "  " * (depth + 1)
+    out.append("[" + inner + ("," + inner).join(lines) + "\n" + "  " * depth + "]")
 
 
 @lru_cache(maxsize=None)
@@ -301,136 +373,3 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"invalid JSON: {exc}") from exc
-
-
-class InstanceBundle:
-    """A self-contained scenario: algebras, maps, homs, reps, seed, tolerance.
-
-    Objects cross-reference algebras by name.  Loading re-runs every validity
-    gate (CP for maps, *-hom checks, representation checks) and rejects the
-    bundle with a diagnostic when any fails.
-    """
-
-    def __init__(self, seed=0, tolerance=DEFAULT_TOL):
-        self.seed = int(seed)
-        self.tolerance = tolerance
-        self.algebras: dict[str, FdCStarAlgebra] = {}
-        self.ocp_maps: dict[str, OcpMap] = {}
-        self.star_homs: dict[str, StarHom] = {}
-        self.anchored_reps: dict[str, AnchoredRep] = {}
-
-    def _algebra_name(self, algebra: FdCStarAlgebra) -> str:
-        for name, existing in self.algebras.items():
-            if existing.blocks == algebra.blocks:
-                return name
-        name = f"A{len(self.algebras)}"
-        self.algebras[name] = algebra
-        return name
-
-    def add_map(self, name: str, phi: OcpMap):
-        self._algebra_name(phi.domain)
-        self.ocp_maps[name] = phi
-
-    def add_hom(self, name: str, f: StarHom):
-        self._algebra_name(f.source)
-        self._algebra_name(f.target)
-        self.star_homs[name] = f
-
-    def add_rep(self, name: str, rep: AnchoredRep):
-        self._algebra_name(rep.algebra)
-        self.anchored_reps[name] = rep
-
-    def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "kind": "bundle",
-            "basis_order": BASIS_ORDER,
-            "seed": self.seed,
-            "tolerance": encode_tolerance(self.tolerance),
-            "algebras": {n: encode_algebra(a) for n, a in sorted(self.algebras.items())},
-            "ocp_maps": {
-                n: {
-                    "domain": self._algebra_name(phi.domain),
-                    "k": phi.k,
-                    "basis_images": [encode_matrix(m) for m in phi.basis_images],
-                }
-                for n, phi in sorted(self.ocp_maps.items())
-            },
-            "star_homs": {
-                n: {
-                    "source": self._algebra_name(f.source),
-                    "target": self._algebra_name(f.target),
-                    "basis_images": [encode_element(img) for img in f.basis_images],
-                }
-                for n, f in sorted(self.star_homs.items())
-            },
-            "anchored_reps": {
-                n: {
-                    "algebra": self._algebra_name(rep.algebra),
-                    "k": rep.k,
-                    "h": rep.h,
-                    "pi_images": [encode_matrix(m) for m in rep.pi_images],
-                    "V": encode_matrix(rep.V),
-                }
-                for n, rep in sorted(self.anchored_reps.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "InstanceBundle":
-        _expect_kind(obj, "bundle")
-        try:
-            tol = decode_tolerance(obj["tolerance"])
-            bundle = cls(seed=int(obj.get("seed", 0)), tolerance=tol)
-            for name, payload in obj.get("algebras", {}).items():
-                bundle.algebras[name] = decode_algebra(payload)
-
-            def lookup(name):
-                if name not in bundle.algebras:
-                    raise MalformedInput(f"dangling algebra reference {name!r}")
-                return bundle.algebras[name]
-
-            for name, payload in obj.get("ocp_maps", {}).items():
-                phi = OcpMap(
-                    lookup(payload["domain"]),
-                    int(payload["k"]),
-                    tuple(decode_matrix(m) for m in payload["basis_images"]),
-                )
-                report = is_completely_positive(phi, tol)
-                if not report.is_cp:
-                    raise MalformedInput(
-                        f"map {name!r} is not CP: min eigenvalues {report.min_eigenvalues}"
-                    )
-                bundle.ocp_maps[name] = phi
-            for name, payload in obj.get("star_homs", {}).items():
-                target = lookup(payload["target"])
-                f = StarHom(
-                    lookup(payload["source"]),
-                    target,
-                    tuple(decode_element(target, img) for img in payload["basis_images"]),
-                )
-                report = check_star_hom(f, tol)
-                if not report.ok:
-                    raise MalformedInput(
-                        f"hom {name!r} fails the gate: {report.residuals}"
-                    )
-                bundle.star_homs[name] = f
-            for name, payload in obj.get("anchored_reps", {}).items():
-                rep = AnchoredRep(
-                    lookup(payload["algebra"]),
-                    int(payload["k"]),
-                    int(payload["h"]),
-                    tuple(decode_matrix(m) for m in payload["pi_images"]),
-                    decode_matrix(payload["V"]),
-                )
-                report = validate_rep(rep, tol)
-                if not report.ok:
-                    raise MalformedInput(
-                        f"rep {name!r} is not a representation: {report.residuals}"
-                    )
-                bundle.anchored_reps[name] = rep
-        except MalformedInput:
-            raise
-        except Exception as exc:
-            raise MalformedInput(f"bad bundle: {exc}") from exc
-        return bundle

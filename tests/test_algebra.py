@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dilatory.algebra import (
     FdCStarAlgebra,
@@ -279,3 +280,22 @@ def test_commutant_large_carrier_stays_small():
         tracemalloc.stop()
     assert len(basis) == 3 * 3
     assert peak < 300 * 2**20
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), log_scale=st.floats(-30.0, 12.0))
+def test_commutant_dimension_is_scale_free(seed, log_scale):
+    # {s g} and {g} have the same commutant, scalar generators (M_1) included
+    rng = rng_for(seed, 0)
+    t = int(rng.integers(1, 3))
+    algebra = FdCStarAlgebra(tuple(int(rng.integers(1, 3)) for _ in range(t)))
+    mults = [int(rng.integers(1, 3)) for _ in range(t)]
+    images = boxplus_rep_images(algebra, mults)
+    ambient = sum(n * c for n, c in zip(algebra.blocks, mults))
+    u = random_unitary(rng, ambient)
+    images = [u @ g @ u.conj().T for g in images]
+    s = 10.0**log_scale
+    expected = sum(c * c for c in mults)
+    assert len(commutant(images, ambient, TOL)) == expected
+    assert len(commutant([s * g for g in images], ambient, TOL)) == expected
+

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from dilatory.algebra import FdCStarAlgebra
 from dilatory.cli import main
-from dilatory.cpmap import OcpMap, tracial_map
+from dilatory.cpmap import OcpMap, is_completely_positive, is_unital, tracial_map
 from dilatory.dilation import stinespring_dilate
 from dilatory.errors import MalformedInput
+from dilatory.geometry import purification_residuals, purify_partial, purify_unitary
 from dilatory.numerics import Tolerance
 from dilatory.randgen import (
     random_cp_map,
@@ -18,17 +19,21 @@ from dilatory.randgen import (
     rng_for,
 )
 from dilatory.serialize import (
-    InstanceBundle,
+    SCHEMA,
+    decode_algebra,
     decode_anchored_rep,
     decode_matrix,
     decode_ocp_map,
     decode_star_hom,
     dumps,
     encode_anchored_rep,
+    encode_certificate,
     encode_matrix,
     encode_ocp_map,
     encode_star_hom,
+    encode_tolerance,
     loads,
+    matrix_doc,
 )
 
 TOL = Tolerance()
@@ -71,29 +76,6 @@ def test_star_hom_roundtrip():
     assert again.source.blocks == f.source.blocks
     assert again.target.blocks == f.target.blocks
     assert dumps(encode_star_hom(again)) == text
-
-
-def test_bundle_roundtrip_and_gates():
-    rng = rng_for(94, 0)
-    bundle = InstanceBundle(seed=7, tolerance=TOL)
-    phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
-    bundle.add_map("phi", phi)
-    f = random_hom(rng, FdCStarAlgebra((2,)), max_mult=1)
-    bundle.add_hom("f", f)
-    cert = stinespring_dilate(phi, TOL)
-    bundle.add_rep("rep", cert.rep)
-    payload = bundle.to_json()
-    text = dumps(payload)
-    again = InstanceBundle.from_json(loads(text))
-    assert again.seed == 7
-    assert dumps(again.to_json()) == text
-
-    # a non-CP map must be rejected with a diagnostic
-    broken = json.loads(text)
-    name = next(iter(broken["ocp_maps"]))
-    broken["ocp_maps"][name]["basis_images"][1]["entries"][0][0] = [5.0, 0.0]
-    with pytest.raises(MalformedInput):
-        InstanceBundle.from_json(broken)
 
 
 def test_decode_rejects_malformed():
@@ -485,3 +467,289 @@ def test_cli_output_is_canonical(tmp_path, monkeypatch, argv, code):
     assert text == reference_dumps(json.loads(text))
     if argv[-1] == "1e-30":
         assert "error" in json.loads(text)
+
+
+def _native_reference(o):
+    # array leaves replaced by the per-entry reference encoding
+    if isinstance(o, np.ndarray):
+        return encode_matrix_per_entry(o)["entries"]
+    if isinstance(o, dict):
+        return {key: _native_reference(value) for key, value in o.items()}
+    if isinstance(o, list):
+        return [_native_reference(item) for item in o]
+    return o
+
+
+@st.composite
+def _complex_arrays(draw):
+    """2-D complex128 arrays with repeated rows, signed zeros, extremes and odd layouts."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e16, -2.5]), _floats)
+    cell = st.builds(complex, values, values)
+    patterns = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=rows, max_size=rows))
+    a = np.array([patterns[p] for p in picks], dtype=np.complex128).reshape(rows, cols)
+    if rows and draw(st.booleans()):
+        # a row that differs from row 0 only where row 0 has a signed zero
+        a = np.vstack([a, np.where(a[0] == 0, -a[0], a[0])])
+    layout = draw(st.sampled_from(["c", "f", "transposed", "strided", "reversed"]))
+    if layout == "f":
+        return np.asfortranarray(a)
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        big = np.zeros((2 * a.shape[0], 2 * a.shape[1] + 1), dtype=np.complex128)
+        big[::2, 1::2] = a
+        return big[::2, 1::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_complex_arrays(), b=_complex_arrays(), depth=st.integers(0, 3))
+def test_dumps_of_array_documents_matches_json_reference(a, b, depth):
+    obj = {"m": matrix_doc(a), "raw": [b, a, {"again": b}]}
+    for _ in range(depth):
+        obj = {"m": [obj, {"x": b}]}
+    assert dumps(obj) == reference_dumps(_native_reference(obj))
+
+
+class _ArraySubclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((2, 2)),
+        np.zeros(3, dtype=complex),
+        np.zeros((2, 2, 2), dtype=complex),
+        np.zeros((2, 2), dtype=object),
+        np.zeros((2, 2), dtype=np.complex64),
+        np.zeros((2, 2), dtype=">c16"),
+        np.zeros((2, 2), dtype=complex).view(_ArraySubclass),
+    ],
+    ids=["float64", "1-D", "3-D", "object", "complex64", "big-endian", "subclass"],
+)
+def test_dumps_rejects_other_arrays(bad):
+    with pytest.raises(TypeError):
+        dumps({"entries": bad})
+
+
+def _cli_text(tmp_path, argv):
+    out = tmp_path / "out.json"
+    code = main(argv + ["--out", str(out)])
+    return code, out.read_text()
+
+
+@pytest.mark.parametrize(
+    "blocks, k, rank", [((9,), 3, 3), ((2, 3), 3, 3), ((1, 2), 2, 1), ((1,), 1, 1)]
+)
+def test_cli_dilate_equals_reference_encoding(tmp_path, monkeypatch, blocks, k, rank):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    phi = random_cp_map(rng_for(99, 0), blocks, k, kraus_rank=rank)
+    fixture = tmp_path / "phi.json"
+    fixture.write_text(json.dumps(encode_ocp_map(phi)))
+    code, text = _cli_text(tmp_path, ["dilate", str(fixture)])
+    assert code == 0
+    cert = stinespring_dilate(decode_ocp_map(loads(fixture.read_text())), TOL)
+    assert text == reference_dumps(encode_certificate(cert))
+
+
+def test_cli_not_cp_report_equals_reference_encoding(tmp_path, monkeypatch):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    # the transpose on M_2 + M_1, block-diagonal on C^3
+    domain = FdCStarAlgebra((2, 1))
+    transpose = []
+    for j, a, b in domain.basis_labels():
+        e = np.zeros((3, 3), dtype=complex)
+        e[2 * j + b, 2 * j + a] = 1.0
+        transpose.append(e)
+    phi = OcpMap(domain, 3, tuple(transpose))
+    fixture = tmp_path / "transpose.json"
+    fixture.write_text(json.dumps(encode_ocp_map(phi)))
+    code, text = _cli_text(tmp_path, ["dilate", str(fixture)])
+    assert code == 2
+    report = {
+        "schema": SCHEMA,
+        "kind": "not_cp_report",
+        "min_eigenvalues": [float(x) for x in is_completely_positive(phi, TOL).min_eigenvalues],
+    }
+    assert text == reference_dumps(report)
+
+
+@pytest.mark.parametrize("unital", [False, True])
+def test_cli_random_equals_reference_encoding(tmp_path, monkeypatch, unital):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    argv = ["random", "--seed", "5", "--blocks", "2,3", "--k", "3", "--kraus-rank", "2"]
+    code, text = _cli_text(tmp_path, argv + (["--unital"] if unital else []))
+    assert code == 0
+    phi = random_cp_map(rng_for(5, 0), (2, 3), 3, kraus_rank=2, unital=unital)
+    payload = encode_ocp_map(phi)
+    payload.update(seed=5, is_cp=is_completely_positive(phi, TOL).is_cp, is_unital=is_unital(phi, TOL))
+    assert text == reference_dumps(payload)
+
+
+@pytest.mark.parametrize("extra", [([1, 0], [0, 1]), ([1, 1], [1, 1])], ids=["mixed", "unitary"])
+def test_cli_purify_equals_reference_encoding(tmp_path, monkeypatch, extra):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    rng = rng_for(100, 0)
+    _, _, rep1, rep2 = random_dilation_pair(rng, (1, 2), 2, TOL, extra1=extra[0], extra2=extra[1])
+    paths = []
+    for i, rep in enumerate((rep1, rep2)):
+        paths.append(tmp_path / f"rep{i}.json")
+        paths[-1].write_text(json.dumps(encode_anchored_rep(rep)))
+    code, text = _cli_text(tmp_path, ["purify", str(paths[0]), str(paths[1]), "--allow-inequivalent"])
+    assert code == 0
+    r1, r2 = (decode_anchored_rep(loads(p.read_text())) for p in paths)
+    u, label = purify_partial(r1, r2, TOL)
+    payload = {
+        "schema": SCHEMA,
+        "kind": "purification",
+        "label": label,
+        "U": encode_matrix(u),
+        "residuals": {k: float(v) for k, v in sorted(purification_residuals(u, r1, r2).items())},
+        "tolerance": encode_tolerance(TOL),
+    }
+    assert text == reference_dumps(payload)
+    if label == "unitary":
+        assert np.array_equal(u, purify_unitary(r1, r2, TOL))
+
+
+def decode_matrix_per_entry(obj) -> np.ndarray:
+    # the per-entry loop decode_matrix replaced, kept as its reference
+    rows = int(obj["rows"])
+    cols = int(obj["cols"])
+    entries = obj["entries"]
+    if len(entries) != rows:
+        raise MalformedInput(f"matrix has {len(entries)} rows, expected {rows}")
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    for i in range(rows):
+        row = entries[i]
+        if len(row) != cols:
+            raise MalformedInput(f"row {i} has {len(row)} entries, expected {cols}")
+        for j in range(cols):
+            re, im = row[j]
+            out[i, j] = complex(float(re), float(im))
+    return out
+
+
+_MALFORMED_ENTRIES = [
+    (2, 2, [[[0, 0], [0, 0]], [[0, 0]]]),  # ragged rows
+    (1, 2, [[[0, 0], [0, 0], [0, 0]]]),  # a row too long
+    (2, 1, [[[0, 0]]]),  # a row missing
+    (1, 1, [[[0, 0]], [[0, 0]]]),  # an extra row
+    (1, 2, [[[0, 0], [1]]]),  # a 1-element pair
+    (1, 1, [[[0, 0, 0]]]),  # a 3-element pair
+    (1, 2, [[[0, 0], [None, 1]]]),  # null entry
+    (1, 1, [[None]]),  # null pair
+    (1, 1, [None]),  # null row
+    (1, 1, None),
+    (1, 1, [[[[0], 0]]]),  # nested list in a pair
+    (1, 1, [[[0, [1, 2]]]]),
+    (2, 2, [[[[0, 0]], [[0, 0]]], [[[0, 0]], [[0, 0]]]]),  # one level too deep
+    (1, 1, [[["a", 0]]]),
+    (1, 1, [[{"re": 0}]]),
+    (1, 1, [[[10**400, 0]]]),
+    (1, 1, 5),
+    (2, 1, "ab"),
+    (0, 1, [[]]),
+    (1, 0, [[[]]]),
+    (2, 0, [[], [[]]]),
+    (1, 1, [[]]),
+]
+
+
+@pytest.mark.parametrize("rows, cols, entries", _MALFORMED_ENTRIES)
+def test_decode_matrix_rejects_what_the_loop_rejected(rows, cols, entries):
+    obj = {"rows": rows, "cols": cols, "entries": entries}
+    with pytest.raises(Exception):
+        decode_matrix_per_entry(obj)
+    with pytest.raises(MalformedInput):
+        decode_matrix(obj)
+
+
+_json_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, -1e308]),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    data=st.data(),
+)
+def test_decode_matrix_equals_per_entry_reference(shape, data):
+    rows, cols = shape
+    entries = data.draw(
+        st.lists(
+            st.lists(st.lists(_json_numbers, min_size=2, max_size=2), min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    obj = {"rows": rows, "cols": cols, "entries": entries}
+    got, expected = decode_matrix(obj), decode_matrix_per_entry(obj)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit: -0.0 and NaN too
+    parsed = loads(json.dumps(obj))
+    assert decode_matrix(parsed).tobytes() == decode_matrix_per_entry(parsed).tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"rows": 1.9, "cols": True, "entries": [[[1, 0]]]},
+        {"rows": 1.0, "cols": 1, "entries": [[[1, 0]]]},
+        {"rows": 1, "cols": False, "entries": [[]]},
+        {"rows": "1", "cols": 1, "entries": [[[1, 0]]]},
+        {"rows": -1, "cols": 1, "entries": []},
+    ],
+)
+def test_decode_matrix_rejects_non_integer_sizes(obj):
+    with pytest.raises(MalformedInput):
+        decode_matrix(obj)
+
+
+def test_decode_rejects_non_integer_block_sizes():
+    for blocks in ([2.7], [2.0], [True], "23", [2, "3"]):
+        with pytest.raises(MalformedInput):
+            decode_algebra({"blocks": blocks})
+    assert decode_algebra({"blocks": [2, 3]}).blocks == (2, 3)
+
+
+def test_decode_rejects_non_integer_k_and_h():
+    rep = stinespring_dilate(tracial_map(2, 1), TOL).rep
+    for key, value in (("k", 1.0), ("k", True), ("h", 2.0), ("h", float(rep.h))):
+        payload = encode_anchored_rep(rep)
+        payload[key] = value
+        with pytest.raises(MalformedInput):
+            decode_anchored_rep(payload)
+    payload = encode_ocp_map(tracial_map(2, 1))
+    payload["k"] = 1.0
+    with pytest.raises(MalformedInput):
+        decode_ocp_map(payload)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: p["basis_images"][0].update(rows=1.9),
+        lambda p: p["basis_images"][0].update(cols=True),
+        lambda p: p["domain"].update(blocks=[2.7]),
+        lambda p: p.update(k=1.0),
+    ],
+    ids=["rows-float", "cols-bool", "blocks-float", "k-float"],
+)
+def test_cli_dilate_non_integer_sizes_exit_3(tmp_path, capsys, edit):
+    payload = encode_ocp_map(tracial_map(2, 1))
+    edit(payload)
+    fixture = tmp_path / "sizes.json"
+    fixture.write_text(json.dumps(payload))
+    assert main(["dilate", str(fixture), "--out", str(tmp_path / "out.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+

@@ -727,3 +727,35 @@ def test_dilation_is_scale_free(shape, k, seed, log_scale):
         np.testing.assert_array_equal(
             np.stack(cert.rep.pi_images), boxplus_rep_images(algebra, ranks)
         )
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    shape=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    log_scale=st.floats(-30.0, 12.0),
+)
+def test_canonical_dilation_is_minimal_at_every_scale(shape, k, seed, log_scale):
+    # (pi, sqrt(s) V) is the canonical dilation of s phi; the minimality rank
+    # cut is relative to the span, so it stays minimal at every scale
+    if all(kr == 0 for _, kr in shape):
+        shape[0] = (shape[0][0], 1)
+    rng = rng_for(seed, 0)
+    algebra = FdCStarAlgebra(tuple(n for n, _ in shape))
+    families = [[complex_gaussian(rng, k, n) for _ in range(kr)] for n, kr in shape]
+    rep = stinespring_dilate(kraus_map(families, algebra, k), TOL).rep
+    scaled = AnchoredRep(algebra, k, rep.h, rep.pi_images, np.sqrt(10.0**log_scale) * rep.V)
+    assert is_minimal(rep, TOL)
+    assert is_minimal(scaled, TOL)
+
+
+def test_tiny_map_dilation_is_minimal():
+    # M_2 + M_3, k = 3, Kraus rank 3: d = 15 at every scale, 1e-20 included
+    phi = random_cp_map(rng_for(95, 0), (2, 3), 3, kraus_rank=3)
+    for s in (1.0, 1e-12, 1e-16, 1e-20, 1e-30):
+        scaled = OcpMap(phi.domain, 3, tuple(s * m for m in phi.basis_images))
+        cert = stinespring_dilate(scaled, TOL)
+        assert cert.dimension == 15
+        assert is_minimal(cert.rep, TOL)
+
