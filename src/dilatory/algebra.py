@@ -1,22 +1,29 @@
 """Finite-dimensional C*-algebras as direct sums of matrix blocks.
 
 An algebra is an ordered list of block sizes (n_1, ..., n_t) standing for
-M_{n_1} + ... + M_{n_t}.  Elements are stored blockwise, unital
-*-homomorphisms are stored by their images on the matrix-unit basis, and the
-commutant of a generating set is computed as the joint null space of
-commutator superoperators.
+M_{n_1} + ... + M_{n_t}.  Elements are stored blockwise.  A linear map out
+of an algebra is stored by its values on the matrix-unit basis as one array:
+a unital *-homomorphism by its (target.dim, source.dim) coefficient matrix,
+and the CP maps and representations of the other modules by one
+(dim, m, m) stack.  Finiteness is checked once, where caller data enters
+(the constructors and ``numerics.as_matrix``/``as_stack``), never again on
+arrays the package built.  The *-hom gate multiplies one row of basis
+images against the whole stack at a time and reads the expected products
+from index tables built once per algebra.  The commutant of a generating
+set is the joint null space of commutator superoperators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from . import numerics
 from .errors import ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, kron, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, kron, linear_extension, max_abs
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,28 @@ class FdCStarAlgebra:
 
     def basis_index(self, j: int, a: int, b: int) -> int:
         return self._offsets[j] + a * self.blocks[j] + b
+
+    @cached_property
+    def _unit_tables(self):
+        """How the matrix units multiply, as index arrays built on first use.
+
+        product[alpha, beta] is the index of b_alpha b_beta, or -1 when the
+        product is 0 (unit_product_index for all pairs at once); star[alpha]
+        is that of b_alpha*; diagonal lists the units E^{(j)}_{aa}, which
+        sum to 1.
+        """
+        j, a, b = np.array(self._labels).T
+        offset, n = np.array(self._offsets)[j], np.array(self.blocks)[j]
+        meets = (j[:, None] == j[None, :]) & (b[:, None] == a[None, :])
+        product = np.where(meets, (offset + a * n)[:, None] + b[None, :], -1)
+        return product, offset + b * n + a, np.flatnonzero(a == b)
+
+    @cached_property
+    def _embedding(self):
+        """Row and column of each matrix unit in the block-diagonal embedding."""
+        j, a, b = np.array(self._labels).T
+        start = np.cumsum((0,) + self.blocks[:-1])[j]
+        return start + a, start + b
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, tuple(numerics.zeros(n, n) for n in self.blocks))
@@ -129,22 +158,13 @@ def element_from_coefficients(algebra: FdCStarAlgebra, coeffs) -> AlgebraElement
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.size != algebra.dim:
         raise ShapeMismatch(f"expected {algebra.dim} coefficients, got {c.size}")
-    data = []
-    pos = 0
-    for n in algebra.blocks:
-        data.append(c[pos : pos + n * n].reshape(n, n))
-        pos += n * n
-    return AlgebraElement(algebra, tuple(data))
+    pieces = zip(algebra._offsets, algebra.blocks)
+    return AlgebraElement(algebra, tuple(c[o : o + n * n].reshape(n, n) for o, n in pieces))
 
 
 def matrix_units(algebra: FdCStarAlgebra) -> list[AlgebraElement]:
     """Matrix-unit basis E^{(j)}_{ab}, block-major then row-major."""
-    units = []
-    for j, a, b in algebra.basis_labels():
-        data = [numerics.zeros(n, n) for n in algebra.blocks]
-        data[j][a, b] = 1.0
-        units.append(AlgebraElement(algebra, tuple(data)))
-    return units
+    return [element_from_coefficients(algebra, e) for e in numerics.eye(algebra.dim)]
 
 
 def unit_product_index(algebra: FdCStarAlgebra, alpha: int, beta: int):
@@ -191,44 +211,60 @@ def embed_element(a: AlgebraElement) -> np.ndarray:
 class StarHom:
     """A linear map between algebras stored on the matrix-unit basis.
 
-    Nothing beyond linearity is assumed at construction; unitality,
-    multiplicativity, and *-preservation are verified by check_star_hom, so
-    invalid maps are first-class values that fail the gate.
+    ``matrix`` is its (target.dim, source.dim) coefficient matrix: column
+    alpha holds the coordinates of f(E_alpha) on the target's matrix units.
+    The images f(E_alpha) may be passed instead, as elements of the target.
+    Nothing beyond linearity is assumed; unitality, multiplicativity, and
+    *-preservation are verified by check_star_hom, so invalid maps are
+    first-class values that fail the gate.
     """
 
     source: FdCStarAlgebra
     target: FdCStarAlgebra
-    basis_images: tuple[AlgebraElement, ...]
+    matrix: np.ndarray
 
     def __post_init__(self):
-        images = tuple(self.basis_images)
-        if len(images) != self.source.dim:
-            raise ShapeMismatch("need one image per matrix unit of the source")
-        for img in images:
-            if img.algebra.blocks != self.target.blocks:
+        mat = self.matrix
+        if not isinstance(mat, np.ndarray):
+            images = tuple(mat)
+            if any(img.algebra.blocks != self.target.blocks for img in images):
                 raise ShapeMismatch("image lives in the wrong algebra")
-        object.__setattr__(self, "basis_images", images)
+            mat = np.array([img.coefficients() for img in images]).T
+        mat = as_matrix(mat)
+        if mat.shape != (self.target.dim, self.source.dim):
+            raise ShapeMismatch("need one image per matrix unit of the source")
+        object.__setattr__(self, "matrix", mat)
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra.blocks != self.source.blocks:
             raise ShapeMismatch("element not in the source algebra")
-        coeffs = a.coefficients()
-        out = self.target.zero()
-        for c, img in zip(coeffs, self.basis_images):
-            if c != 0:
-                out = out + c * img
+        coeffs = linear_extension(a.coefficients(), self.matrix.T)
+        return element_from_coefficients(self.target, coeffs)
+
+    def embedded_images(self) -> np.ndarray:
+        """The images f(E_alpha) embedded block-diagonally, one (dim, N, N) array."""
+        n = self.target.ambient_dim
+        out = np.zeros((self.source.dim, n, n), dtype=np.complex128)
+        rows, cols = self.target._embedding
+        out[:, rows, cols] = self.matrix.T
         return out
 
 
+def representation_hom(algebra: FdCStarAlgebra, images: np.ndarray) -> StarHom:
+    """The map A -> M_h with the given (dim, h, h) basis images."""
+    h = images.shape[-1]
+    return StarHom(algebra, FdCStarAlgebra((h,)), images.reshape(algebra.dim, h * h).T)
+
+
 def identity_hom(algebra: FdCStarAlgebra) -> StarHom:
-    return StarHom(algebra, algebra, tuple(matrix_units(algebra)))
+    return StarHom(algebra, algebra, numerics.eye(algebra.dim))
 
 
 def compose_homs(f: StarHom, g: StarHom) -> StarHom:
     """The composite f o g (apply g first)."""
     if g.target.blocks != f.source.blocks:
         raise ShapeMismatch("homomorphisms are not composable")
-    return StarHom(g.source, f.target, tuple(f.apply(img) for img in g.basis_images))
+    return StarHom(g.source, f.target, linear_extension(g.matrix, f.matrix.T).T)
 
 
 @dataclass(frozen=True)
@@ -246,29 +282,26 @@ class StarHomReport:
 def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
     """Verify unitality, multiplicativity, and *-preservation on the basis.
 
-    Multiplicativity is tested on all basis pairs via the delta product rule,
-    unitality on the unit, and the star condition on every basis element;
-    linearity holds structurally.
+    On the embedded images P, multiplicativity is P[alpha] @ P[beta] =
+    P[gamma] on all basis pairs, gamma from the delta product rule (a zero
+    image where the product of units vanishes), computed one row alpha at a
+    time against the whole stack; unitality is tested on the unit and the
+    star condition on every basis element; linearity holds structurally.
     """
     src = f.source
-    unit_res = max_abs(
-        embed_element(f.apply(src.unit())) - embed_element(f.target.unit())
-    )
+    product, star, diagonal = src._unit_tables
+    images = f.embedded_images()
+    unit = np.zeros(src.dim)
+    unit[diagonal] = 1.0
+    unit_res = max_abs(linear_extension(unit, images) - numerics.eye(images.shape[1]))
 
-    images = [embed_element(img) for img in f.basis_images]
+    # index -1 of the padded stack is the zero image
+    padded = np.concatenate([images, np.zeros_like(images[:1])])
     mult_res = 0.0
-    dim = src.dim
-    for alpha in range(dim):
-        for beta in range(dim):
-            gamma = unit_product_index(src, alpha, beta)
-            expected = images[gamma] if gamma is not None else 0.0
-            mult_res = max(mult_res, max_abs(images[alpha] @ images[beta] - expected))
+    for alpha in range(src.dim):
+        mult_res = max(mult_res, max_abs(images[alpha] @ images - padded[product[alpha]]))
 
-    star_res = 0.0
-    for alpha in range(dim):
-        star_res = max(
-            star_res, max_abs(dagger(images[alpha]) - images[unit_star_index(src, alpha)])
-        )
+    star_res = max_abs(np.conj(images).transpose(0, 2, 1) - images[star])
     return StarHomReport(
         unital=unit_res <= tol.eps_eq,
         multiplicative=mult_res <= tol.eps_eq,
@@ -311,7 +344,4 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     else:
         rank = int(np.count_nonzero(sing > tol.eps_rank * smax))
         null_cols = range(rank, n2)
-    basis = []
-    for j in null_cols:
-        basis.append(np.asarray(v[:, j]).reshape((n, n), order="F"))
-    return basis
+    return [np.asarray(v[:, j]).reshape((n, n), order="F") for j in null_cols]

@@ -1,7 +1,10 @@
 """Operator-valued completely positive maps on finite-dimensional C*-algebras.
 
 A map phi: A -> B(C^k) is stored by its images on the matrix-unit basis of A
-and extended linearly.  Complete positivity is decided by positivity of the
+as one (dim, k, k) array, phi(E_alpha) at index alpha, and extended
+linearly.  The OcpMap constructor checks the shape and the finiteness of the
+whole stack once; every computation below works on the stack at once.
+Complete positivity is decided by positivity of the
 per-block Choi matrices, with the ampliation kept around as an independent
 cross-check.  Morphisms of such maps are plain linear maps T intertwining the
 two actions, T phi(a) = psi(a) T.
@@ -21,26 +24,24 @@ from .algebra import (
     check_star_hom,
 )
 from .errors import InvalidHom, NotIsometry, NotMorphism, ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, linear_extension, max_abs
 
 
 @dataclass(frozen=True, eq=False)
 class OcpMap:
-    """Candidate CP map A -> B(C^k), one k-by-k image per matrix unit."""
+    """Candidate CP map A -> B(C^k), its images one (dim, k, k) array.
+
+    Any sequence of k-by-k matrices, one per matrix unit, is accepted.
+    """
 
     domain: FdCStarAlgebra
     k: int
-    basis_images: tuple[np.ndarray, ...]
+    basis_images: np.ndarray
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("output dimension k must be at least 1")
-        images = tuple(as_matrix(m) for m in self.basis_images)
-        if len(images) != self.domain.dim:
-            raise ShapeMismatch("need one image per matrix unit of the domain")
-        for img in images:
-            if img.shape != (self.k, self.k):
-                raise ShapeMismatch(f"image shape {img.shape} != ({self.k}, {self.k})")
+        images = as_stack(self.basis_images, self.domain.dim, self.k)
         object.__setattr__(self, "basis_images", images)
 
 
@@ -48,12 +49,7 @@ def apply(phi: OcpMap, a: AlgebraElement) -> np.ndarray:
     """Evaluate phi on an algebra element by linear extension."""
     if a.algebra.blocks != phi.domain.blocks:
         raise ShapeMismatch("element not in the domain of the map")
-    coeffs = a.coefficients()
-    out = numerics.zeros(phi.k, phi.k)
-    for c, img in zip(coeffs, phi.basis_images):
-        if c != 0:
-            out += c * img
-    return out
+    return linear_extension(a.coefficients(), phi.basis_images)
 
 
 def ampliation_apply(phi: OcpMap, n: int, block_matrix) -> np.ndarray:
@@ -63,12 +59,7 @@ def ampliation_apply(phi: OcpMap, n: int, block_matrix) -> np.ndarray:
     rows = list(block_matrix)
     if len(rows) != n or any(len(list(r)) != n for r in rows):
         raise ShapeMismatch(f"expected an {n}x{n} grid of elements")
-    k = phi.k
-    out = numerics.zeros(n * k, n * k)
-    for i in range(n):
-        for j in range(n):
-            out[i * k : (i + 1) * k, j * k : (j + 1) * k] = apply(phi, rows[i][j])
-    return out
+    return np.block([[apply(phi, a) for a in row] for row in rows])
 
 
 def choi_blocks(phi: OcpMap) -> list[np.ndarray]:
@@ -79,9 +70,8 @@ def choi_blocks(phi: OcpMap) -> list[np.ndarray]:
     """
     k = phi.k
     out = []
-    for j, n in enumerate(phi.domain.blocks):
-        offset = phi.domain.basis_index(j, 0, 0)
-        images = np.stack(phi.basis_images[offset : offset + n * n])
+    for offset, n in zip(phi.domain._offsets, phi.domain.blocks):
+        images = phi.basis_images[offset : offset + n * n]
         # [a, c, s, t] -> [(a, s), (c, t)]
         out.append(images.reshape(n, n, k, k).transpose(0, 2, 1, 3).reshape(n * k, n * k))
     return out
@@ -98,8 +88,10 @@ def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpRepor
     """Choi positivity on every block plus self-adjointness of the images.
 
     One eigensolve per block.  C_j is Hermitian exactly when phi(b*) = phi(b)*
-    on block j, so max |C_j - C_j*| is the self-adjointness residual; a block
-    is PSD when its smallest eigenvalue is at least -eps_rank max(lambda_max, 1).
+    on block j, so max |C_j - C_j*| is the self-adjointness residual; it must
+    be at most eps_eq times the largest Choi entry, so the decision does not
+    change when phi is rescaled (the zero map passes).  A block is PSD when
+    its smallest eigenvalue is at least -eps_rank max(lambda_max, 1).
     """
     sa = 0.0
     mins = []
@@ -110,7 +102,7 @@ def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpRepor
         mins.append(float(w[-1]))
         all_psd = all_psd and bool(w[-1] >= -tol.eps_rank * max(float(w[0]), 1.0))
     return CpReport(
-        is_cp=all_psd and sa <= tol.eps_eq,
+        is_cp=all_psd and sa <= tol.eps_eq * max_abs(phi.basis_images),
         min_eigenvalues=tuple(mins),
         selfadjoint_residual=sa,
     )
@@ -124,11 +116,8 @@ def tracial_map(m: int, p: int) -> OcpMap:
     """The map A -> tr(A)/m * 1_p from M_m to B(C^p)."""
     if m < 1 or p < 1:
         raise ValueError("dimensions must be positive")
-    domain = FdCStarAlgebra((m,))
-    images = []
-    for _, a, b in domain.basis_labels():
-        images.append((1.0 / m if a == b else 0.0) * numerics.eye(p))
-    return OcpMap(domain, p, tuple(images))
+    weights = np.eye(m).reshape(-1) / m  # tr(E_ab) / m
+    return OcpMap(FdCStarAlgebra((m,)), p, weights[:, None, None] * numerics.eye(p))
 
 
 def ad_map(t, domain_dim: int) -> OcpMap:
@@ -137,13 +126,8 @@ def ad_map(t, domain_dim: int) -> OcpMap:
     n = int(domain_dim)
     if mat.shape[1] != n:
         raise ShapeMismatch(f"T has {mat.shape[1]} columns, domain is M_{n}")
-    domain = FdCStarAlgebra((n,))
-    images = []
-    for _, a, b in domain.basis_labels():
-        e = numerics.zeros(n, n)
-        e[a, b] = 1.0
-        images.append(mat @ e @ dagger(mat))
-    return OcpMap(domain, mat.shape[0], tuple(images))
+    units = numerics.eye(n * n).reshape(n * n, n, n)
+    return OcpMap(FdCStarAlgebra((n,)), mat.shape[0], mat @ units @ dagger(mat))
 
 
 def kraus_map(operators, domain: FdCStarAlgebra, k: int) -> OcpMap:
@@ -156,19 +140,17 @@ def kraus_map(operators, domain: FdCStarAlgebra, k: int) -> OcpMap:
             if t.shape != (k, n):
                 raise ShapeMismatch(f"Kraus operator shape {t.shape} != ({k}, {n})")
     images = []
-    for j, a, b in domain.basis_labels():
-        n = domain.blocks[j]
-        e = numerics.zeros(n, n)
-        e[a, b] = 1.0
-        img = numerics.zeros(k, k)
-        for t in ops[j]:
-            img += t @ e @ dagger(t)
-        images.append(img)
-    return OcpMap(domain, k, tuple(images))
+    for family, n in zip(ops, domain.blocks):
+        units = numerics.eye(n * n).reshape(n * n, n, n)
+        block = np.zeros((n * n, k, k), dtype=np.complex128)
+        for t in family:
+            block += t @ units @ dagger(t)
+        images.append(block)
+    return OcpMap(domain, k, np.concatenate(images))
 
 
 def zero_map(domain: FdCStarAlgebra, k: int) -> OcpMap:
-    return OcpMap(domain, k, tuple(numerics.zeros(k, k) for _ in range(domain.dim)))
+    return OcpMap(domain, k, np.zeros((domain.dim, k, k), dtype=np.complex128))
 
 
 def compose_maps(psi: OcpMap, phi: OcpMap) -> OcpMap:
@@ -177,11 +159,9 @@ def compose_maps(psi: OcpMap, phi: OcpMap) -> OcpMap:
         raise ShapeMismatch(
             f"psi must be defined on M_{phi.k} to compose, has domain {psi.domain.blocks}"
         )
-    images = []
-    for img in phi.basis_images:
-        value = AlgebraElement(psi.domain, (img,))
-        images.append(apply(psi, value))
-    return OcpMap(phi.domain, psi.k, tuple(images))
+    # the coefficients of phi(E_alpha) on the matrix units of M_k are its entries
+    coeffs = phi.basis_images.reshape(phi.domain.dim, -1).T
+    return OcpMap(phi.domain, psi.k, linear_extension(coeffs, psi.basis_images))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +190,7 @@ def is_ocp_morphism(t, phi: OcpMap, psi: OcpMap, tol: Tolerance = DEFAULT_TOL):
         raise ShapeMismatch("maps live over different algebras")
     if mat.shape != (psi.k, phi.k):
         raise ShapeMismatch(f"T shape {mat.shape} != ({psi.k}, {phi.k})")
-    res = 0.0
-    for img_phi, img_psi in zip(phi.basis_images, psi.basis_images):
-        res = max(res, max_abs(mat @ img_phi - img_psi @ mat))
+    res = max_abs(mat @ phi.basis_images - psi.basis_images @ mat)
     return res <= tol.eps_eq, res
 
 
@@ -238,11 +216,10 @@ def check_morphism_variants(
     mat = as_matrix(t)
     if mat.shape != (psi.k, phi.k):
         raise ShapeMismatch(f"T shape {mat.shape} != ({psi.k}, {phi.k})")
-    r23 = r22 = r24 = 0.0
-    for img_phi, img_psi in zip(phi.basis_images, psi.basis_images):
-        r23 = max(r23, max_abs(mat @ img_phi @ dagger(mat) - img_psi))
-        r22 = max(r22, max_abs(mat @ img_phi - img_psi @ mat))
-        r24 = max(r24, max_abs(dagger(mat) @ img_psi @ mat - img_phi))
+    p, q = phi.basis_images, psi.basis_images
+    r23 = max_abs(mat @ p @ dagger(mat) - q)
+    r22 = max_abs(mat @ p - q @ mat)
+    r24 = max_abs(dagger(mat) @ q @ mat - p)
     return MorphismVariantReport(
         diagram_23=r23 <= tol.eps_eq,
         diagram_22=r22 <= tol.eps_eq,
@@ -287,16 +264,10 @@ def decompose_opstate_morphism(
     ell, k = mat.shape
     u_full, _, _ = numerics.svd(mat)
     basis_l2 = u_full[:, k:]
-    psi1 = OcpMap(
-        phi.domain, k, tuple(dagger(mat) @ img @ mat for img in psi.basis_images)
-    )
+    psi1 = OcpMap(phi.domain, k, dagger(mat) @ psi.basis_images @ mat)
     psi2 = None
     if ell > k:
-        psi2 = OcpMap(
-            phi.domain,
-            ell - k,
-            tuple(dagger(basis_l2) @ img @ basis_l2 for img in psi.basis_images),
-        )
+        psi2 = OcpMap(phi.domain, ell - k, dagger(basis_l2) @ psi.basis_images @ basis_l2)
     return OpStateDecomposition(
         unitary=mat, psi1=psi1, psi2=psi2, basis_l1=mat, basis_l2=basis_l2
     )
@@ -309,7 +280,7 @@ def pullback(phi: OcpMap, f: StarHom, tol: Tolerance = DEFAULT_TOL) -> OcpMap:
     report = check_star_hom(f, tol)
     if not report.ok:
         raise InvalidHom(f"not a *-homomorphism: residuals {report.residuals}")
-    return OcpMap(f.source, phi.k, tuple(apply(phi, img) for img in f.basis_images))
+    return OcpMap(f.source, phi.k, linear_extension(f.matrix, phi.basis_images))
 
 
 def dagger_morphism(m: OcpMorphism, tol: Tolerance = DEFAULT_TOL) -> OcpMorphism:

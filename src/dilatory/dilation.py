@@ -17,6 +17,12 @@ relative cutoff:
 - the anchor V sends e_s to the class of 1_A (x) e_s: its rows (j, ., rho)
   form K_rho*, for K_rho the Kraus operators of phi on block j.
 
+An anchored representation holds pi(E_alpha) as one (dim, h, h) array, like
+the (dim, k, k) images of an OcpMap; its constructor checks the shapes and
+the finiteness of that stack and of V once, and everything downstream (the
+restriction V* pi V, the spanning vectors pi(b_alpha) V e_s, pullbacks along
+a *-homomorphism) is one stacked product or one linear extension.
+
 Morphisms of CP maps transport along the construction (L_T), algebra maps
 induce comparison isometries between dilations (L_f), and every other
 dilation of the same map receives a canonical mediating isometry from the
@@ -39,6 +45,7 @@ from .algebra import (
     boxplus_rep_images,
     check_star_hom,
     element_from_coefficients,
+    representation_hom,
 )
 from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism, pullback
 from .errors import (
@@ -48,57 +55,43 @@ from .errors import (
     NotMorphism,
     ShapeMismatch,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, kron, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, kron, max_abs
 
 
 @dataclass(frozen=True, eq=False)
 class AnchoredRep:
-    """A representation pi of A on C^h together with an anchor V: C^k -> C^h."""
+    """A representation pi of A on C^h together with an anchor V: C^k -> C^h.
+
+    pi_images is one (dim, h, h) array; any sequence of h-by-h matrices, one
+    per matrix unit, is accepted.
+    """
 
     algebra: FdCStarAlgebra
     k: int
     h: int
-    pi_images: tuple[np.ndarray, ...]
+    pi_images: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
         if self.k < 1 or self.h < 1:
             raise DegenerateDimension(f"k={self.k}, h={self.h}; both must be >= 1")
-        images = tuple(as_matrix(m) for m in self.pi_images)
-        if len(images) != self.algebra.dim:
-            raise ShapeMismatch("need one image per matrix unit")
-        for img in images:
-            if img.shape != (self.h, self.h):
-                raise ShapeMismatch(f"pi image shape {img.shape} != ({self.h}, {self.h})")
+        images = as_stack(self.pi_images, self.algebra.dim, self.h)
         v = as_matrix(self.V)
         if v.shape != (self.h, self.k):
             raise ShapeMismatch(f"V shape {v.shape} != ({self.h}, {self.k})")
         object.__setattr__(self, "pi_images", images)
         object.__setattr__(self, "V", v)
 
-    def as_star_hom(self) -> StarHom:
-        """pi as a map into the one-block algebra M_h, for validation."""
-        target = FdCStarAlgebra((self.h,))
-        return StarHom(
-            self.algebra,
-            target,
-            tuple(AlgebraElement(target, (img,)) for img in self.pi_images),
-        )
-
 
 def pi_apply(rep: AnchoredRep, a: AlgebraElement) -> np.ndarray:
     if a.algebra.blocks != rep.algebra.blocks:
         raise ShapeMismatch("element not in the represented algebra")
-    out = numerics.zeros(rep.h, rep.h)
-    for c, img in zip(a.coefficients(), rep.pi_images):
-        if c != 0:
-            out += c * img
-    return out
+    return numerics.linear_extension(a.coefficients(), rep.pi_images)
 
 
 def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
     """check_star_hom applied to the induced map A -> M_h."""
-    return check_star_hom(rep.as_star_hom(), tol)
+    return check_star_hom(representation_hom(rep.algebra, rep.pi_images), tol)
 
 
 def is_preserving(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -137,9 +130,7 @@ def is_rep_morphism(
         raise ShapeMismatch(
             f"(T, L) shapes {m.T.shape}, {m.L.shape} do not fit the representations"
         )
-    inter = 0.0
-    for img_src, img_dst in zip(src.pi_images, dst.pi_images):
-        inter = max(inter, max_abs(m.L @ img_src - img_dst @ m.L))
+    inter = max_abs(m.L @ src.pi_images - dst.pi_images @ m.L)
     square_v = max_abs(m.L @ src.V - dst.V @ m.T)
     square_vstar = max_abs(m.T @ dagger(src.V) - dagger(dst.V) @ m.L)
     ok = max(inter, square_v, square_vstar) <= tol.eps_eq
@@ -256,8 +247,8 @@ def stinespring_dilate(
         v_blocks.append(q_j.reshape(r, n, k).transpose(1, 0, 2).reshape(n * r, k))
     images = boxplus_rep_images(algebra, ranks)
     v = np.concatenate(v_blocks)
-    rep = AnchoredRep(algebra, k, images.shape[1], tuple(images), v)
-    restriction = max_abs(dagger(v) @ images @ v - np.stack(phi.basis_images))
+    rep = AnchoredRep(algebra, k, images.shape[1], images, v)
+    restriction = max_abs(dagger(v) @ images @ v - phi.basis_images)
     return DilationCertificate(
         rep=rep,
         source=phi,
@@ -272,10 +263,7 @@ def stinespring_dilate(
 
 def restrict(rep: AnchoredRep) -> OcpMap:
     """The CP map a -> V* pi(a) V recovered from an anchored representation."""
-    v = rep.V
-    return OcpMap(
-        rep.algebra, rep.k, tuple(dagger(v) @ img @ v for img in rep.pi_images)
-    )
+    return OcpMap(rep.algebra, rep.k, dagger(rep.V) @ rep.pi_images @ rep.V)
 
 
 def stine_on_morphism(
@@ -306,7 +294,7 @@ def pullback_rep(rep: AnchoredRep, f: StarHom) -> AnchoredRep:
     """(K, H, pi o f, V) over the source of f."""
     if f.target.blocks != rep.algebra.blocks:
         raise ShapeMismatch("target of f is not the represented algebra")
-    images = tuple(pi_apply(rep, img) for img in f.basis_images)
+    images = numerics.linear_extension(f.matrix, rep.pi_images)
     return AnchoredRep(f.source, rep.k, rep.h, images, rep.V)
 
 
@@ -328,19 +316,17 @@ def stine_f(
     pulled_cert = pulled_cert if pulled_cert is not None else stinespring_dilate(
         phi_f, tol, check_cp=False
     )
-    f_mat = np.stack([img.coefficients() for img in f.basis_images], axis=1)
-    lifted = kron(f_mat, numerics.eye(phi.k))
+    lifted = kron(f.matrix, numerics.eye(phi.k))
     l_f = cert.Q @ lifted @ pulled_cert.q_pinv
     return RepMorphism(numerics.eye(phi.k), l_f)
 
 
-def _span_columns(rep: AnchoredRep) -> np.ndarray:
-    """Columns pi(b_alpha) V e_s spanning the reachable subspace."""
-    cols = numerics.zeros(rep.h, rep.algebra.dim * rep.k)
-    for alpha, img in enumerate(rep.pi_images):
-        block = img @ rep.V
-        cols[:, alpha * rep.k : (alpha + 1) * rep.k] = block
-    return cols
+def _span_columns(rep: AnchoredRep, anchor: np.ndarray | None = None) -> np.ndarray:
+    """Columns pi(b_alpha) W e_s, alpha major, for the anchor W (default V);
+    with V they span the reachable subspace."""
+    anchor = rep.V if anchor is None else anchor
+    cols = np.ascontiguousarray((rep.pi_images @ anchor).transpose(1, 0, 2))
+    return cols.reshape(rep.h, -1)
 
 
 def mediating_morphism(
@@ -381,10 +367,7 @@ def universal_factorization(
             f"T is not a morphism into the restriction of the target; residual {res:.3e}"
         )
     cert = cert if cert is not None else stinespring_dilate(phi, tol)
-    wt = target.V @ mat
-    cols = numerics.zeros(target.h, phi.domain.dim * phi.k)
-    for alpha, img in enumerate(target.pi_images):
-        cols[:, alpha * phi.k : (alpha + 1) * phi.k] = img @ wt
+    cols = _span_columns(target, target.V @ mat)
     return RepMorphism(mat, cols @ cert.q_pinv)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, check_star_hom
+from .algebra import FdCStarAlgebra, boxplus_rep_images, check_star_hom, representation_hom
 from .dilation import (
     AnchoredRep,
     RepMorphism,
@@ -36,7 +36,7 @@ from .errors import (
     RestrictionMismatch,
     ShapeMismatch,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, kron, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, kron, max_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,10 +100,9 @@ def is_intertwining_extension(
     if not is_extension(l, m, tol):
         raise NotExtension("M does not extend L on its initial space")
     mmat = as_matrix(m)
-    for a, b in zip(pi_images, rho_images):
-        if max_abs(mmat @ as_matrix(a) - as_matrix(b) @ mmat) > tol.eps_eq:
-            return False
-    return True
+    pi = as_stack(pi_images)
+    rho = as_stack(rho_images, len(pi))
+    return max_abs(mmat @ pi - rho @ mmat) <= tol.eps_eq
 
 
 def extend_partial_isometry(l, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -142,10 +141,8 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     if n < 1 or mat.shape[0] % n or mat.shape[1] % n:
         raise ShapeMismatch(f"shape {mat.shape} is not n p x n q for n = {n}")
     p, q = mat.shape[0] // n, mat.shape[1] // n
-    out = numerics.zeros(p, q)
-    for i in range(n):
-        out += mat[i * p : (i + 1) * p, i * q : (i + 1) * q]
-    out /= n
+    diagonal_blocks = mat.reshape(n, p, n, q)[range(n), :, range(n)]
+    out = numerics.linear_extension(np.ones(n), diagonal_blocks) / n
     rebuilt = kron(numerics.eye(n), out)
     residual = max_abs(mat - rebuilt)
     if residual > 10.0 * tol.eps_eq:
@@ -153,15 +150,16 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return out
 
 
-def _rep_gate(pi_images, algebra: FdCStarAlgebra, h: int, tol: Tolerance):
-    """Raise NotRepresentation unless the images define a *-hom A -> M_h."""
-    if h < 1:
-        raise DegenerateDimension(f"h={h}; must be >= 1")
-    target = FdCStarAlgebra((h,))
-    hom = StarHom(algebra, target, tuple(AlgebraElement(target, (m,)) for m in pi_images))
-    report = check_star_hom(hom, tol)
+def _rep_images(pi_images, algebra: FdCStarAlgebra, tol: Tolerance) -> np.ndarray:
+    """The images as one stack; NotRepresentation unless they define a
+    unital *-hom A -> M_h."""
+    images = as_stack(pi_images, algebra.dim)
+    if images.shape[1] < 1:
+        raise DegenerateDimension(f"h={images.shape[1]}; must be >= 1")
+    report = check_star_hom(representation_hom(algebra, images), tol)
     if not report.ok:
         raise NotRepresentation(f"not a unital *-representation: {report.residuals}")
+    return images
 
 
 def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):
@@ -170,13 +168,10 @@ def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):
     Columns of R* are pi(E_{i1}) w_alpha with {w_alpha} an orthonormal basis
     of range pi(E_11), ordered i major.
     """
-    images = [as_matrix(m) for m in pi_images]
     n = int(n)
-    if len(images) != n * n:
-        raise ShapeMismatch(f"expected {n * n} images for M_{n}")
-    h = images[0].shape[0]
     algebra = FdCStarAlgebra((n,))
-    _rep_gate(images, algebra, h, tol)
+    images = _rep_images(pi_images, algebra, tol)
+    h = images.shape[1]
     if h % n:
         raise NonIntegralMultiplicity(f"dim {h} is not a multiple of {n}")
     p = h // n
@@ -187,17 +182,11 @@ def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):
         raise NotRepresentation("range of pi(E_11) has the wrong dimension")
     basis = u[:, :p]
 
-    r_star = numerics.zeros(h, h)
-    for i in range(n):
-        cols = images[algebra.basis_index(0, i, 0)] @ basis
-        r_star[:, i * p : (i + 1) * p] = cols
+    # column block i is pi(E_i1) basis
+    r_star = np.ascontiguousarray((images[::n] @ basis).transpose(1, 0, 2)).reshape(h, h)
     r = dagger(r_star)
 
-    worst = 0.0
-    for idx, (_, a, b) in enumerate(algebra.basis_labels()):
-        e = numerics.zeros(n, n)
-        e[a, b] = 1.0
-        worst = max(worst, max_abs(r @ images[idx] @ r_star - kron(e, numerics.eye(p))))
+    worst = max_abs(r @ images @ r_star - boxplus_rep_images(algebra, [p]))
     if worst > tol.eps_eq:
         raise NotRepresentation(f"normal form residual {worst:.3e}")
     return p, r
@@ -211,19 +200,17 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
     block and is straightened by normal_form_matrix_rep.  Zero multiplicities
     contribute empty factors and are skipped.
     """
-    images = [as_matrix(m) for m in pi_images]
-    if len(images) != algebra.dim:
-        raise ShapeMismatch("need one image per matrix unit")
-    h = images[0].shape[0]
-    _rep_gate(images, algebra, h, tol)
+    images = _rep_images(pi_images, algebra, tol)
+    h = images.shape[1]
 
     mults = []
     rows = []
     consumed = 0
     for j, n in enumerate(algebra.blocks):
-        central = numerics.zeros(h, h)
-        for a in range(n):
-            central += images[algebra.basis_index(j, a, a)]
+        offset = algebra._offsets[j]
+        block = images[offset : offset + n * n]
+        # pi of the unit of block j, the sum of its diagonal units
+        central = numerics.linear_extension(np.eye(n).reshape(-1), block)
         w, u = numerics.hermitian_eig(central, tol)
         hj = int(np.count_nonzero(w > 0.5))
         if hj % n:
@@ -234,12 +221,7 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
         if hj == 0:
             continue
         basis = u[:, :hj]
-        sub_images = [
-            dagger(basis) @ images[algebra.basis_index(j, a, b)] @ basis
-            for a in range(n)
-            for b in range(n)
-        ]
-        _, r_j = normal_form_matrix_rep(sub_images, n, tol)
+        _, r_j = normal_form_matrix_rep(dagger(basis) @ block @ basis, n, tol)
         rows.append(r_j @ dagger(basis))
         consumed += hj
     if consumed != h:
@@ -249,11 +231,7 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
 
 
 def restriction_mismatch(rep1: AnchoredRep, rep2: AnchoredRep) -> float:
-    phi1 = restrict(rep1)
-    phi2 = restrict(rep2)
-    return max(
-        max_abs(a - b) for a, b in zip(phi1.basis_images, phi2.basis_images)
-    )
+    return max_abs(restrict(rep1).basis_images - restrict(rep2).basis_images)
 
 
 def connecting_morphism(
@@ -359,11 +337,8 @@ def purify_partial(
 
 def purification_residuals(u, rep1: AnchoredRep, rep2: AnchoredRep) -> dict:
     mat = as_matrix(u)
-    inter = 0.0
-    for a, b in zip(rep1.pi_images, rep2.pi_images):
-        inter = max(inter, max_abs(mat @ a - b @ mat))
     return {
-        "intertwine": inter,
+        "intertwine": max_abs(mat @ rep1.pi_images - rep2.pi_images @ mat),
         "anchor": max_abs(mat @ rep1.V - rep2.V),
         "isometry_defect": max_abs(dagger(mat) @ mat - numerics.eye(mat.shape[1])),
         "coisometry_defect": max_abs(mat @ dagger(mat) - numerics.eye(mat.shape[0])),

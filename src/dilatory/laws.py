@@ -12,13 +12,12 @@ turn every check green.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import numerics
 from .algebra import (
-    AlgebraElement,
     FdCStarAlgebra,
     StarHom,
     check_star_hom,
@@ -28,6 +27,7 @@ from .algebra import (
 from .cpmap import (
     OcpMap,
     OcpMorphism,
+    apply,
     check_morphism_variants,
     compose_morphisms,
     dagger_morphism,
@@ -260,13 +260,8 @@ def example_28():
     fails."""
     phi = tracial_map(2, 1)
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-    domain = phi.domain
-    images = []
-    for _, a, b in domain.basis_labels():
-        e = numerics.zeros(2, 2)
-        e[a, b] = 1.0
-        images.append(0.5 * e + 0.5 * (x @ e @ x))
-    psi = OcpMap(domain, 2, tuple(images))
+    units = numerics.eye(4).reshape(4, 2, 2)
+    psi = OcpMap(phi.domain, 2, 0.5 * units + 0.5 * (x @ units @ x))
     t = np.array([[1.0], [0.0]], dtype=np.complex128)
     return phi, psi, t
 
@@ -291,9 +286,7 @@ def counterexample_suite(tol: Tolerance = DEFAULT_TOL) -> LawReport:
     ):
         witnesses.append("first counterexample pattern mismatch")
         residual = max(residual, 1.0)
-    unit_image = sum(
-        phi.basis_images[phi.domain.basis_index(0, a, a)] for a in range(2)
-    )
+    unit_image = apply(phi, phi.domain.unit())
     violation = numerics.op_norm(t @ unit_image @ dagger(t) - numerics.eye(2))
     residual = max(residual, abs(violation - 1.0))
 
@@ -411,7 +404,7 @@ def _morphism_sample(rng, max_dim, tol):
     k = int(rng.integers(1, min(3, max_dim) + 1))
     phi = random_cp_map(rng, blocks, k, kraus_rank=2)
     x = random_unitary(rng, k)
-    psi = OcpMap(phi.domain, k, tuple(x @ img @ dagger(x) for img in phi.basis_images))
+    psi = OcpMap(phi.domain, k, x @ phi.basis_images @ dagger(x))
     return phi, psi, x
 
 
@@ -548,16 +541,7 @@ def _negative_controls(seed: int, tol: Tolerance) -> list[LawReport]:
     cert2 = stinespring_dilate(phi_ff, tol, check_cp=False)
     scrambled_q = np.roll(cert1.Q, 1, axis=0).copy()
     scrambled_q[0, :] *= 2.0
-    scrambled = DilationCertificate(
-        rep=cert1.rep,
-        source=cert1.source,
-        Q=scrambled_q,
-        q_pinv=cert1.q_pinv,
-        gram_eigenvalues=cert1.gram_eigenvalues,
-        tol=cert1.tol,
-        rank_unstable=cert1.rank_unstable,
-        residuals=cert1.residuals,
-    )
+    scrambled = replace(cert1, Q=scrambled_q)
     l_f = stine_f(phi_chain, f_outer, tol, cert=cert0, pulled_cert=scrambled)
     l_fp = stine_f(phi_f, f_prime, tol, cert=scrambled, pulled_cert=cert2)
     l_comp = stine_f(phi_chain, compose_homs(f_outer, f_prime), tol, cert=cert0, pulled_cert=cert2)
@@ -591,12 +575,7 @@ def _negative_controls(seed: int, tol: Tolerance) -> list[LawReport]:
 
 def _fake_unital_padding() -> StarHom:
     """The unital but non-multiplicative map M_2 -> M_2 (+) M_3."""
-    source = FdCStarAlgebra((2,))
-    target = FdCStarAlgebra((2, 3))
-    images = []
-    for _, a, b in source.basis_labels():
-        e = numerics.zeros(2, 2)
-        e[a, b] = 1.0
-        tail = (0.5 if a == b else 0.0) * numerics.eye(3)
-        images.append(AlgebraElement(target, (e, tail)))
-    return StarHom(source, target, tuple(images))
+    # E_ab goes to E_ab (+) [a == b] 1_3 / 2
+    tail = 0.5 * np.outer(np.eye(3).reshape(-1), np.eye(2).reshape(-1))
+    matrix = np.concatenate([np.eye(4), tail])
+    return StarHom(FdCStarAlgebra((2,)), FdCStarAlgebra((2, 3)), matrix)

@@ -53,13 +53,65 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN/Inf entries."""
+    """Coerce a caller's matrix to a 2-D complex128 array, rejecting NaN/Inf.
+
+    This is the trust boundary: constructors and the entry points that take
+    a caller's matrix call it (or ``as_stack`` for a family of basis
+    images); helpers that only see arrays the package built do not.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
+    _require_finite(a)
     return a
+
+
+def as_stack(images, count: int | None = None, side: int | None = None) -> np.ndarray:
+    """Coerce a caller's basis images to one (count, side, side) complex128 array.
+
+    ``images`` is an iterable of square matrices or a 3-D array; ``count``
+    and ``side`` default to whatever the images have.  Finiteness is checked
+    once, on the whole stack.
+    """
+    images = images if isinstance(images, np.ndarray) else list(images)
+    try:
+        a = np.asarray(images, dtype=np.complex128)
+    except ValueError as exc:
+        if len({np.shape(m) for m in images}) > 1:
+            raise ShapeMismatch("basis images have different shapes") from exc
+        raise
+    if a.ndim != 3:
+        raise ShapeMismatch(f"expected a stack of matrices, got ndim={a.ndim}")
+    if count is not None and a.shape[0] != count:
+        raise ShapeMismatch(f"{a.shape[0]} basis images for a basis of {count}")
+    side = a.shape[1] if side is None else side
+    if a.shape[1:] != (side, side):
+        raise ShapeMismatch(f"image shape {a.shape[1:]} != ({side}, {side})")
+    _require_finite(a)
+    return a
+
+
+def _require_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+
+
+def linear_extension(coeffs, images) -> np.ndarray:
+    """sum_alpha coeffs[alpha] images[alpha], summed over the leading axis.
+
+    coeffs has shape (dim,) + c and images (dim,) + s; the result has shape
+    c + s.  The terms are added in basis order: accumulate never reorders,
+    whereas sum may add pairwise when the summed axis ends up innermost.
+    With the final + 0 (which only turns -0.0 into 0.0) the result equals,
+    bit for bit, the loop out = 0; out += coeffs[alpha] * images[alpha].
+    """
+    c = np.asarray(coeffs)
+    p = np.asarray(images)
+    terms = c.reshape(c.shape + (1,) * (p.ndim - 1)) * p.reshape(
+        p.shape[:1] + (1,) * (c.ndim - 1) + p.shape[1:]
+    )
+    np.add.accumulate(terms, out=terms)
+    return terms[-1] + 0.0
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -97,15 +149,18 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL):
     ``u`` the matching orthonormal eigenvector columns, phase-fixed.  Ties in
     the sorted spectrum keep the decomposition's native column order.
 
-    Raises NotHermitian when the symmetry residual exceeds ``eps_eq`` and
-    ConvergenceFailure if the underlying iteration fails.
+    Raises NotHermitian when the symmetry residual exceeds ``eps_eq`` times
+    the largest entry (so the test does not change when the matrix is
+    rescaled, and a zero matrix passes) and ConvergenceFailure if the
+    underlying iteration fails.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"matrix is {a.shape}, not square")
     sym = max_abs(a - dagger(a))
-    if sym > tol.eps_eq:
-        raise NotHermitian(f"symmetry residual {sym:.3e} exceeds {tol.eps_eq:.3e}")
+    bound = tol.eps_eq * max_abs(a)
+    if sym > bound:
+        raise NotHermitian(f"symmetry residual {sym:.3e} exceeds {bound:.3e}")
     try:
         w, u = np.linalg.eigh(0.5 * (a + dagger(a)))
     except np.linalg.LinAlgError as exc:
@@ -139,7 +194,7 @@ def rank_psd(m, tol: Tolerance = DEFAULT_TOL):
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product, left factor major: (i, alpha) -> i * cols_b + alpha."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 def svd(m):
@@ -201,7 +256,7 @@ def op_norm(m) -> float:
 
 def block_diag(blocks) -> np.ndarray:
     """Direct sum of matrices; empty blocks contribute nothing."""
-    blocks = [as_matrix(b) for b in blocks]
+    blocks = [np.asarray(b, dtype=np.complex128) for b in blocks]
     rows = sum(b.shape[0] for b in blocks)
     cols = sum(b.shape[1] for b in blocks)
     out = zeros(rows, cols)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import numerics
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, boxplus_rep_images
+from .algebra import FdCStarAlgebra, StarHom, boxplus_rep_images
 from .cpmap import OcpMap, kraus_map
 from .dilation import AnchoredRep, DilationCertificate, stinespring_dilate
 from .errors import ShapeMismatch
-from .numerics import Tolerance, dagger, kron
+from .numerics import Tolerance, dagger
 
 
 def rng_for(seed: int, index: int = 0) -> np.random.Generator:
@@ -108,26 +108,18 @@ def hom_from_multiplicities(
     if unitaries is None:
         unitaries = [numerics.eye(m) for m in target_blocks]
 
-    images = []
-    for j, a, b in source.basis_labels():
-        n = source.blocks[j]
-        e = numerics.zeros(n, n)
-        e[a, b] = 1.0
-        data = []
-        for i, row in enumerate(rows):
-            pieces = []
-            for jj, (m, nn) in enumerate(zip(row, source.blocks)):
-                if m == 0:
-                    continue
-                if jj == j:
-                    pieces.append(kron(numerics.eye(m), e))
-                else:
-                    pieces.append(numerics.zeros(m * nn, m * nn))
-            block = numerics.block_diag(pieces)
-            u = unitaries[i]
-            data.append(u @ block @ dagger(u))
-        images.append(AlgebraElement(target, tuple(data)))
-    return StarHom(source, target, tuple(images))
+    # column alpha of the coefficient matrix is f(E_alpha), block after block
+    columns = []
+    for row, size, u in zip(rows, target_blocks, unitaries):
+        # E_ab of source block j goes to 1_m (x) E_ab: carrier rows (j, copy, a)
+        units = np.zeros((source.dim, size, size), dtype=np.complex128)
+        start = 0
+        for offset, n, m in zip(source._offsets, source.blocks, row):
+            rho, a, b = np.ix_(range(m), range(n), range(n))
+            units[offset + a * n + b, start + rho * n + a, start + rho * n + b] = 1.0
+            start += n * m
+        columns.append((u @ units @ dagger(u)).reshape(source.dim, -1))
+    return StarHom(source, target, np.concatenate(columns, axis=1).T)
 
 
 def random_hom(rng: np.random.Generator, source: FdCStarAlgebra, max_mult: int = 2) -> StarHom:
@@ -156,21 +148,17 @@ def inflate_rep(
     extra = list(extra_mults)
     if len(extra) != algebra.num_blocks:
         raise ShapeMismatch("one extra multiplicity per block required")
-    junk_dim = sum(n * c for n, c in zip(algebra.blocks, extra))
-    if junk_dim == 0:
-        images = list(rep.pi_images)
-        v = rep.V
-        h = rep.h
-    else:
-        junk = boxplus_rep_images(algebra, extra)
-        h = rep.h + junk_dim
-        images = [numerics.block_diag([a, b]) for a, b in zip(rep.pi_images, junk)]
-        v = np.vstack([rep.V, numerics.zeros(junk_dim, rep.k)])
+    junk = boxplus_rep_images(algebra, extra)
+    h = rep.h + junk.shape[1]
+    images = np.zeros((algebra.dim, h, h), dtype=np.complex128)
+    images[:, : rep.h, : rep.h] = rep.pi_images
+    images[:, rep.h :, rep.h :] = junk
+    v = np.vstack([rep.V, numerics.zeros(h - rep.h, rep.k)])
     if conjugate:
         x = random_unitary(rng, h)
-        images = [x @ img @ dagger(x) for img in images]
+        images = x @ images @ dagger(x)
         v = x @ v
-    return AnchoredRep(algebra, rep.k, h, tuple(images), v)
+    return AnchoredRep(algebra, rep.k, h, images, v)
 
 
 def random_dilation_pair(

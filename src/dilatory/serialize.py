@@ -38,7 +38,7 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom
+from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
 from .cpmap import OcpMap
 from .dilation import AnchoredRep, DilationCertificate
 from .errors import MalformedInput
@@ -174,7 +174,9 @@ def encode_star_hom(f: StarHom) -> dict:
         "basis_order": BASIS_ORDER,
         "source": encode_algebra(f.source),
         "target": encode_algebra(f.target),
-        "basis_images": [encode_element(img) for img in f.basis_images],
+        "basis_images": [
+            encode_element(element_from_coefficients(f.target, c)) for c in f.matrix.T
+        ],
     }
 
 

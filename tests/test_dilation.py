@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dilatory.algebra import (
     FdCStarAlgebra,
@@ -759,3 +759,17 @@ def test_tiny_map_dilation_is_minimal():
         assert cert.dimension == 15
         assert is_minimal(cert.rep, TOL)
 
+
+
+@settings(deadline=None, max_examples=20)
+@given(s=st.floats(1e3, 1e12))
+@example(s=1e9)
+@example(s=1e12)
+def test_large_multiples_dilate_like_the_map(s):
+    # the CP gate and hermitian_eig weigh their symmetry residuals against the
+    # largest entry, so s phi is accepted and has the same d and pi as phi
+    phi = random_cp_map(rng_for(0, 0), (2, 3), 3, kraus_rank=3)
+    base = stinespring_dilate(phi, TOL)
+    scaled = stinespring_dilate(OcpMap(phi.domain, 3, tuple(s * m for m in phi.basis_images)), TOL)
+    assert base.dimension == scaled.dimension == 15
+    np.testing.assert_array_equal(np.stack(scaled.rep.pi_images), np.stack(base.rep.pi_images))
