@@ -82,29 +82,31 @@ class CpReport:
     is_cp: bool
     min_eigenvalues: tuple[float, ...]
     selfadjoint_residual: float
+    selfadjoint: bool
+    eigensystems: tuple = field(repr=False, compare=False)
 
 
 def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpReport:
     """Choi positivity on every block plus self-adjointness of the images.
 
-    One eigensolve per block.  C_j is Hermitian exactly when phi(b*) = phi(b)*
-    on block j, so max |C_j - C_j*| is the self-adjointness residual; it must
-    be at most eps_eq times the largest Choi entry, so the decision does not
-    change when phi is rescaled (the zero map passes).  A block is PSD when
-    its smallest eigenvalue is at least -eps_rank max(lambda_max, 1).
+    One eigensolve per block, of its Hermitian part, kept for the dilation.
+    C_j is Hermitian exactly when phi(b*) = phi(b)* on block j; the residual
+    max |C_j - C_j*| may be at most eps_eq times the largest Choi entry, and
+    each smallest eigenvalue at least -eps_rank times the largest over all
+    blocks, floored at 0.  So s phi gets the decision of phi for every s > 0.
     """
-    sa = 0.0
-    mins = []
-    all_psd = True
-    for block in choi_blocks(phi):
-        sa = max(sa, max_abs(block - dagger(block)))
-        w, _ = numerics.hermitian_eig(0.5 * (block + dagger(block)), tol)
-        mins.append(float(w[-1]))
-        all_psd = all_psd and bool(w[-1] >= -tol.eps_rank * max(float(w[0]), 1.0))
+    blocks = choi_blocks(phi)
+    sa = max(max_abs(c - dagger(c)) for c in blocks)
+    eigs = tuple(numerics.hermitian_eig(0.5 * (c + dagger(c)), tol) for c in blocks)
+    mins = tuple(float(w[-1]) for w, _ in eigs)
+    lam_max = max(0.0, max(float(w[0]) for w, _ in eigs))
+    selfadjoint = sa <= tol.eps_eq * max_abs(phi.basis_images)
     return CpReport(
-        is_cp=all_psd and sa <= tol.eps_eq * max_abs(phi.basis_images),
-        min_eigenvalues=tuple(mins),
+        is_cp=selfadjoint and min(mins) >= -tol.eps_rank * lam_max,
+        min_eigenvalues=mins,
         selfadjoint_residual=sa,
+        selfadjoint=selfadjoint,
+        eigensystems=eigs,
     )
 
 

@@ -9,13 +9,14 @@ follows from one Hermitian eigendecomposition C_j = U_j L_j U_j* per block
 Operator Algebras, ch. 4).  With r_j the number of eigenvalues above the
 relative cutoff:
 
-- q_j = L_j^{1/2} U_j* on those r_j eigenvectors, and the quotient
-  coordinates Q = (+)_j 1_{n_j} (x) q_j satisfy Q* Q = G and Q Q+ = I, with
-  Q+ = (+)_j 1_{n_j} (x) U_j L_j^{-1/2};
+- q_j = L_j^{1/2} U_j* on those r_j eigenvectors (the CP gate's eigensolve),
+  and the quotient coordinates Q = (+)_j 1_{n_j} (x) q_j satisfy Q* Q = G and
+  Q Q+ = I, with Q+ = (+)_j 1_{n_j} (x) U_j L_j^{-1/2};
 - the carrier has dimension d = sum_j n_j r_j, ordered (block, row, Kraus
   index), and pi(a) = (+)_j a_j (x) 1_{r_j} is already in normal form;
 - the anchor V sends e_s to the class of 1_A (x) e_s: its rows (j, ., rho)
-  form K_rho*, for K_rho the Kraus operators of phi on block j.
+  form K_rho*, for K_rho the Kraus operators of phi on block j.  The class of
+  b_alpha (x) e_s is pi(b_alpha) V e_s: Q is derived, only Q+ is stored.
 
 An anchored representation holds pi(E_alpha) as one (dim, h, h) array, like
 the (dim, k, k) images of an OcpMap; its constructor checks the shapes and
@@ -26,8 +27,8 @@ a *-homomorphism) is one stacked product or one linear extension.
 Morphisms of CP maps transport along the construction (L_T), algebra maps
 induce comparison isometries between dilations (L_f), and every other
 dilation of the same map receives a canonical mediating isometry from the
-minimal one (m); these are the raw ingredients of the adjunction laws checked
-in the laws module.
+minimal one (m).  Each is span columns times Q+ of its source; these are the
+raw ingredients of the adjunction laws checked in the laws module.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism,
 from .errors import (
     DegenerateDimension,
     NotCompletelyPositive,
+    NotHermitian,
     NotMinimal,
     NotMorphism,
     ShapeMismatch,
@@ -144,19 +146,22 @@ def is_rep_morphism(
 class DilationCertificate:
     """Minimal dilation plus the quotient data used to build it.
 
-    Q maps A (x) C^k coordinates onto the d-dimensional quotient and
-    satisfies Q Q+ = I and Q* Q = Gram matrix; the full Gram spectrum and the
-    tolerance are kept so the rank decision can be audited.
+    Q, read off rep, maps A (x) C^k coordinates onto the d-dimensional
+    quotient and satisfies Q Q+ = I and Q* Q = Gram matrix; the full Gram
+    spectrum and the tolerance are kept so the rank decision can be audited.
     """
 
     rep: AnchoredRep
     source: OcpMap
-    Q: np.ndarray
     q_pinv: np.ndarray
     gram_eigenvalues: np.ndarray
     tol: Tolerance
     rank_unstable: bool
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def Q(self) -> np.ndarray:
+        return _span_columns(self.rep)
 
     @property
     def dimension(self) -> int:
@@ -169,14 +174,17 @@ class DilationCertificate:
         return self.rep.V[:, 0]
 
 
-def _cp_gate(phi: OcpMap, tol: Tolerance):
+def _cp_gate(phi: OcpMap, tol: Tolerance, check_cp: bool):
     report = is_completely_positive(phi, tol)
-    if not report.is_cp:
+    if check_cp and not report.is_cp:
         raise NotCompletelyPositive(
             f"map is not completely positive; Choi min eigenvalues {report.min_eigenvalues}, "
             f"self-adjointness residual {report.selfadjoint_residual:.3e}",
             min_eigenvalues=report.min_eigenvalues,
         )
+    if not report.selfadjoint:
+        raise NotHermitian(f"Choi symmetry residual {report.selfadjoint_residual:.3e}")
+    return report.eigensystems
 
 
 def gram_matrix(phi: OcpMap, tol: Tolerance = DEFAULT_TOL, check_cp: bool = True) -> np.ndarray:
@@ -187,8 +195,7 @@ def gram_matrix(phi: OcpMap, tol: Tolerance = DEFAULT_TOL, check_cp: bool = True
     it is C_j[(b, s), (c, t)]; so G is the direct sum of 1_{n_j} (x) C_j.  The
     construction never forms G; it is the reference Q is checked against.
     """
-    if check_cp:
-        _cp_gate(phi, tol)
+    _cp_gate(phi, tol, check_cp)
     return numerics.block_diag(
         [kron(numerics.eye(n), c) for n, c in zip(phi.domain.blocks, choi_blocks(phi))]
     )
@@ -215,13 +222,12 @@ def stinespring_dilate(
     factor of 10 of the cutoff flags the certificate as rank-unstable without
     rejecting it.  Only a map with no positive Choi eigenvalue is rejected as
     the zero map (its dilation space would be empty), so the decision does
-    not depend on the scale of the map.
+    not depend on the scale of the map.  It reuses the CP gate's eigensolves;
+    with check_cp off, only Choi blocks that are not Hermitian raise there.
     """
-    if check_cp:
-        _cp_gate(phi, tol)
+    eigs = _cp_gate(phi, tol, check_cp)
     algebra = phi.domain
     k = phi.k
-    eigs = [numerics.hermitian_eig(c, tol) for c in choi_blocks(phi)]
     # the Gram spectrum: each Choi eigenvalue n_j times, descending
     spectrum = np.concatenate([np.repeat(w, n) for (w, _), n in zip(eigs, algebra.blocks)])
     spectrum = -np.sort(-spectrum)
@@ -231,7 +237,7 @@ def stinespring_dilate(
     cut = tol.eps_rank * lam_max
     rank_unstable = bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))
 
-    ranks, q_blocks, q_pinv_blocks, v_blocks = [], [], [], []
+    ranks, q_pinv_blocks, v_blocks = [], [], []
     leakage = 0.0
     for n, (w, u) in zip(algebra.blocks, eigs):
         r = int(np.count_nonzero(w > cut))
@@ -241,7 +247,6 @@ def stinespring_dilate(
         # Q M_a (I - Q+ Q) is E_ab (x) (q_j - q_j q_j+ q_j) on block j
         leakage = max(leakage, max_abs(q_j - q_j @ q_pinv_j @ q_j))
         ranks.append(r)
-        q_blocks.append(kron(numerics.eye(n), q_j))
         q_pinv_blocks.append(kron(numerics.eye(n), q_pinv_j))
         # V[(a, rho), s] = q_j[rho, (a, s)]
         v_blocks.append(q_j.reshape(r, n, k).transpose(1, 0, 2).reshape(n * r, k))
@@ -252,7 +257,6 @@ def stinespring_dilate(
     return DilationCertificate(
         rep=rep,
         source=phi,
-        Q=numerics.block_diag(q_blocks),
         q_pinv=numerics.block_diag(q_pinv_blocks),
         gram_eigenvalues=spectrum,
         tol=tol,
@@ -276,8 +280,8 @@ def stine_on_morphism(
 ) -> RepMorphism:
     """Transport a morphism T of CP maps to (T, L_T) between the dilations.
 
-    L_T is the compression of id_A (x) T to the two quotients; it is an
-    isometry whenever T is, and the assignment is functorial.
+    L_T compresses id_A (x) T to the quotients, as span columns at the anchor
+    W T times Q+; it is an isometry whenever T is, and is functorial.
     """
     mat = as_matrix(t)
     ok, res = is_ocp_morphism(mat, phi, psi, tol)
@@ -285,8 +289,7 @@ def stine_on_morphism(
         raise NotMorphism(f"T is not a morphism of CP maps; residual {res:.3e}")
     src_cert = src_cert if src_cert is not None else stinespring_dilate(phi, tol)
     dst_cert = dst_cert if dst_cert is not None else stinespring_dilate(psi, tol)
-    lifted = kron(numerics.eye(phi.domain.dim), mat)
-    l_t = dst_cert.Q @ lifted @ src_cert.q_pinv
+    l_t = _span_columns(dst_cert.rep, dst_cert.rep.V @ mat) @ src_cert.q_pinv
     return RepMorphism(mat, l_t)
 
 
@@ -307,17 +310,17 @@ def stine_f(
 ) -> RepMorphism:
     """Comparison isometry (id_K, L_f) from the dilation of phi o f.
 
-    L_f compresses f (x) id_K between the two quotients; it lands in the
-    pullback along f of the dilation of phi and satisfies the oplax
-    composition law L_{f o f'} = L_f L_{f'}.
+    L_f compresses f (x) id_K between the two quotients (f on the basis axis
+    of Q, times Q+); it lands in the pullback along f of the dilation of phi
+    and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.
     """
     cert = cert if cert is not None else stinespring_dilate(phi, tol)
     phi_f = pullback(phi, f, tol)
     pulled_cert = pulled_cert if pulled_cert is not None else stinespring_dilate(
         phi_f, tol, check_cp=False
     )
-    lifted = kron(f.matrix, numerics.eye(phi.k))
-    l_f = cert.Q @ lifted @ pulled_cert.q_pinv
+    q = cert.Q.reshape(cert.dimension, -1, phi.k)
+    l_f = (f.matrix.T @ q).reshape(cert.dimension, -1) @ pulled_cert.q_pinv
     return RepMorphism(numerics.eye(phi.k), l_f)
 
 

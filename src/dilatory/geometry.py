@@ -168,9 +168,13 @@ def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):
     Columns of R* are pi(E_{i1}) w_alpha with {w_alpha} an orthonormal basis
     of range pi(E_11), ordered i major.
     """
-    n = int(n)
-    algebra = FdCStarAlgebra((n,))
-    images = _rep_images(pi_images, algebra, tol)
+    algebra = FdCStarAlgebra((int(n),))
+    return _straighten(_rep_images(pi_images, algebra, tol), algebra, tol)
+
+
+def _straighten(images: np.ndarray, algebra: FdCStarAlgebra, tol: Tolerance):
+    """normal_form_matrix_rep, ungated, on a representation of algebra = M_n."""
+    n = algebra.blocks[0]
     h = images.shape[1]
     if h % n:
         raise NonIntegralMultiplicity(f"dim {h} is not a multiple of {n}")
@@ -197,8 +201,8 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
 
     The central projections pi(0 + ... + 1_{n_j} + ... + 0) split the carrier;
     each nonzero piece is a multiple of the defining representation of its
-    block and is straightened by normal_form_matrix_rep.  Zero multiplicities
-    contribute empty factors and are skipped.
+    block and is straightened as in normal_form_matrix_rep, but not gated
+    again.  Zero multiplicities contribute empty factors and are skipped.
     """
     images = _rep_images(pi_images, algebra, tol)
     h = images.shape[1]
@@ -221,7 +225,7 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
         if hj == 0:
             continue
         basis = u[:, :hj]
-        _, r_j = normal_form_matrix_rep(dagger(basis) @ block @ basis, n, tol)
+        _, r_j = _straighten(dagger(basis) @ block @ basis, FdCStarAlgebra((n,)), tol)
         rows.append(r_j @ dagger(basis))
         consumed += hj
     if consumed != h:

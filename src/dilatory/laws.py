@@ -539,9 +539,9 @@ def _negative_controls(seed: int, tol: Tolerance) -> list[LawReport]:
     cert1 = stinespring_dilate(phi_f, tol, check_cp=False)
     phi_ff = pullback(phi_f, f_prime, tol)
     cert2 = stinespring_dilate(phi_ff, tol, check_cp=False)
-    scrambled_q = np.roll(cert1.Q, 1, axis=0).copy()
-    scrambled_q[0, :] *= 2.0
-    scrambled = replace(cert1, Q=scrambled_q)
+    scrambled_q = np.roll(cert1.q_pinv, 1, axis=1).copy()
+    scrambled_q[:, 0] *= 2.0
+    scrambled = replace(cert1, q_pinv=scrambled_q)
     l_f = stine_f(phi_chain, f_outer, tol, cert=cert0, pulled_cert=scrambled)
     l_fp = stine_f(phi_f, f_prime, tol, cert=scrambled, pulled_cert=cert2)
     l_comp = stine_f(phi_chain, compose_homs(f_outer, f_prime), tol, cert=cert0, pulled_cert=cert2)

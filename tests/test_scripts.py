@@ -21,3 +21,11 @@ def test_demo_script_runs(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's own negative controls, and BENCHMARK.json against its tracer
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
