@@ -312,12 +312,12 @@ def stine_f(
 
     L_f compresses f (x) id_K between the two quotients (f on the basis axis
     of Q, times Q+); it lands in the pullback along f of the dilation of phi
-    and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.
+    and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.  Only
+    without pulled_cert is f gated, by the pullback that builds it.
     """
     cert = cert if cert is not None else stinespring_dilate(phi, tol)
-    phi_f = pullback(phi, f, tol)
     pulled_cert = pulled_cert if pulled_cert is not None else stinespring_dilate(
-        phi_f, tol, check_cp=False
+        pullback(phi, f, tol), tol, check_cp=False
     )
     q = cert.Q.reshape(cert.dimension, -1, phi.k)
     l_f = (f.matrix.T @ q).reshape(cert.dimension, -1) @ pulled_cert.q_pinv

@@ -4,10 +4,11 @@ Everything 2-categorical is checked by evaluation at concrete algebras, maps,
 and homomorphisms: the zig-zag identities, naturality of the mediating
 morphism, the comparison triangle for algebra maps, oplax composition, dagger
 laws, and the objectwise universal property of the adjunction.  Each checker
-returns a LawReport whose pass flag is equivalent to its residual being below
-eps_eq.  The default suite mixes positive ensembles with negative controls
-(sabotaged data that must fail loudly), so a tolerance bug cannot silently
-turn every check green.
+takes the dilation certificates its law speaks about and returns a LawReport
+whose pass flag is equivalent to its residual being below eps_eq.  The default
+suite dilates each sampled map once and mixes positive ensembles with negative
+controls (draw 0's objects, sabotaged, that must fail loudly), so a tolerance
+bug cannot silently turn every check green.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .dilation import (
     is_rep_morphism,
     mediating_morphism,
     pullback_rep,
-    restrict,
     stine_f,
     stine_on_morphism,
     stinespring_dilate,
@@ -71,6 +71,11 @@ class LawReport:
     passed: bool
     witnesses: tuple[str, ...] = ()
 
+    @property
+    def failed_as_required(self) -> bool:
+        """A negative control's verdict: it failed, by at least CONTROL_FLOOR."""
+        return not self.passed and self.max_residual >= CONTROL_FLOOR
+
     @staticmethod
     def from_residual(name: str, residual: float, tol: Tolerance, witness: str = ""):
         ok = residual <= tol.eps_eq
@@ -88,20 +93,16 @@ def merge_reports(name: str, reports) -> LawReport:
 
 
 def check_zigzag(
-    phi: OcpMap,
-    rep: AnchoredRep,
-    tol: Tolerance = DEFAULT_TOL,
-    cert: DilationCertificate | None = None,
+    phi: OcpMap, rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *, cert: DilationCertificate
 ) -> LawReport:
     """Both triangle identities of the adjunction at one object pair.
 
-    The restriction of any mediating morphism has identity component by
-    construction, and the mediating morphism of the canonical dilation of phi
-    must itself be the identity.
+    The counit m of rep, read off cert, must be a morphism of anchored
+    representations from the canonical dilation to rep, and the mediating
+    morphism of the canonical dilation of phi must itself be the identity.
     """
-    rep_med = mediating_morphism(rep, tol)
-    first = max_abs(rep_med.T - numerics.eye(rep.k))
-    cert = cert if cert is not None else stinespring_dilate(phi, tol)
+    counit = mediating_morphism(rep, tol, cert=cert)
+    first = max(is_rep_morphism(counit, cert.rep, rep, tol).residuals.values())
     self_med = mediating_morphism(cert.rep, tol, cert=cert)
     second = max_abs(self_med.L - numerics.eye(cert.rep.h))
     residual = max(first, second)
@@ -111,69 +112,65 @@ def check_zigzag(
 
 
 def check_naturality_m(
-    morphism: RepMorphism,
-    src: AnchoredRep,
-    dst: AnchoredRep,
-    tol: Tolerance = DEFAULT_TOL,
+    morphism: RepMorphism, src: AnchoredRep, dst: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *,
+    src_cert: DilationCertificate, dst_cert: DilationCertificate,
 ) -> LawReport:
-    """Naturality square of m: m_dst after L_T equals L after m_src."""
+    """Naturality square of m: m_dst after L_T equals L after m_src, with
+    src_cert and dst_cert the canonical dilations of the two restrictions."""
     report = is_rep_morphism(morphism, src, dst, tol)
     if not report.ok:
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
-    phi = restrict(src)
-    psi = restrict(dst)
-    cert_phi = stinespring_dilate(phi, tol, check_cp=False)
-    cert_psi = stinespring_dilate(psi, tol, check_cp=False)
-    l_t = stine_on_morphism(morphism.T, phi, psi, tol, src_cert=cert_phi, dst_cert=cert_psi)
-    m_src = mediating_morphism(src, tol, cert=cert_phi)
-    m_dst = mediating_morphism(dst, tol, cert=cert_psi)
+    l_t = _stine_t(morphism.T, src_cert, dst_cert, tol)
+    m_src = mediating_morphism(src, tol, cert=src_cert)
+    m_dst = mediating_morphism(dst, tol, cert=dst_cert)
     residual = max_abs(m_dst.L @ l_t.L - morphism.L @ m_src.L)
     return LawReport.from_residual("naturality_m", residual, tol)
 
 
 def check_modification(
-    f: StarHom, rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL
+    f: StarHom, rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *,
+    cert: DilationCertificate, pulled_cert: DilationCertificate,
 ) -> LawReport:
     """Comparison triangle: m of the pulled-back representation factors as
-    m of the original composed with L_f."""
+    m of the original composed with L_f, for cert the canonical dilation of
+    the restriction of rep and pulled_cert that of its pullback along f."""
     hom_report = check_star_hom(f, tol)
     if not hom_report.ok:
         raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
-    phi = restrict(rep)
-    cert = stinespring_dilate(phi, tol, check_cp=False)
-    phi_f = pullback(phi, f, tol)
-    pulled_cert = stinespring_dilate(phi_f, tol, check_cp=False)
-    l_f = stine_f(phi, f, tol, cert=cert, pulled_cert=pulled_cert)
-    pulled = pullback_rep(rep, f)
-    m_pulled = mediating_morphism(pulled, tol, cert=pulled_cert)
+    l_f = stine_f(cert.source, f, tol, cert=cert, pulled_cert=pulled_cert)
+    m_pulled = mediating_morphism(pullback_rep(rep, f), tol, cert=pulled_cert)
     m_orig = mediating_morphism(rep, tol, cert=cert)
     residual = max_abs(m_pulled.L - m_orig.L @ l_f.L)
     return LawReport.from_residual("modification", residual, tol)
 
 
 def check_oplax(
-    f: StarHom, f_prime: StarHom, phi: OcpMap, tol: Tolerance = DEFAULT_TOL
+    f: StarHom, f_prime: StarHom, tol: Tolerance = DEFAULT_TOL, *,
+    certs: tuple[DilationCertificate, DilationCertificate, DilationCertificate],
 ) -> LawReport:
     """Oplax composition: L over a composite equals the composite of the L's,
-    and the identity homomorphism induces the identity."""
+    and the identity homomorphism induces the identity.  certs are the
+    canonical dilations of phi, phi o f and phi o f o f'."""
     for hom in (f, f_prime):
         hom_report = check_star_hom(hom, tol)
         if not hom_report.ok:
             raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
-    cert = stinespring_dilate(phi, tol, check_cp=False)
-    phi_f = pullback(phi, f, tol)
-    cert_f = stinespring_dilate(phi_f, tol, check_cp=False)
-    phi_ff = pullback(phi_f, f_prime, tol)
-    cert_ff = stinespring_dilate(phi_ff, tol, check_cp=False)
-
-    l_f = stine_f(phi, f, tol, cert=cert, pulled_cert=cert_f)
-    l_fp = stine_f(phi_f, f_prime, tol, cert=cert_f, pulled_cert=cert_ff)
-    l_comp = stine_f(phi, compose_homs(f, f_prime), tol, cert=cert, pulled_cert=cert_ff)
-    residual = max_abs(l_comp.L - l_f.L @ l_fp.L)
-
-    l_id = stine_f(phi, identity_hom(phi.domain), tol, cert=cert, pulled_cert=cert)
-    residual = max(residual, max_abs(l_id.L - numerics.eye(cert.rep.h)))
+    cert = certs[0]
+    l_id = stine_f(cert.source, identity_hom(cert.source.domain), tol, cert=cert, pulled_cert=cert)
+    residual = max(
+        _composition_residual(f, f_prime, certs, tol),
+        max_abs(l_id.L - numerics.eye(cert.rep.h)),
+    )
     return LawReport.from_residual("oplax", residual, tol)
+
+
+def _composition_residual(f, f_prime, certs, tol) -> float:
+    """max |L_{f o f'} - L_f L_{f'}| along the chain of dilations certs."""
+    cert, cert_f, cert_ff = certs
+    l_f = stine_f(cert.source, f, tol, cert=cert, pulled_cert=cert_f)
+    l_fp = stine_f(cert_f.source, f_prime, tol, cert=cert_f, pulled_cert=cert_ff)
+    l_comp = stine_f(cert.source, compose_homs(f, f_prime), tol, cert=cert, pulled_cert=cert_ff)
+    return max_abs(l_comp.L - l_f.L @ l_fp.L)
 
 
 def check_dagger(entries, tol: Tolerance = DEFAULT_TOL) -> LawReport:
@@ -221,25 +218,35 @@ def check_dagger(entries, tol: Tolerance = DEFAULT_TOL) -> LawReport:
 def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """Universal property at sampled objects.
 
-    For each (phi, target, T) with T a morphism into the restriction of the
-    target: the factorization through the counit reproduces
+    For each (T, cert_phi, target, cert_psi), with cert_phi and cert_psi the
+    canonical dilations of phi and of the restriction psi of the target, and
+    T a morphism phi -> psi: the factorization through the counit reproduces
     universal_factorization, restricts back to T on the nose, and passes the
     morphism checks.
     """
     reports = []
-    for phi, target, t in samples:
-        psi = restrict(target)
-        cert_phi = stinespring_dilate(phi, tol, check_cp=False)
-        cert_psi = stinespring_dilate(psi, tol, check_cp=False)
-        univ = universal_factorization(t, phi, target, tol, cert=cert_phi)
-        l_t = stine_on_morphism(t, phi, psi, tol, src_cert=cert_phi, dst_cert=cert_psi)
-        counit = mediating_morphism(target, tol, cert=cert_psi)
-        residual = max_abs(univ.L - counit.L @ l_t.L)
+    for t, cert_phi, target, cert_psi in samples:
+        univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol)
+        residual = max_abs(univ.L - through_counit)
         residual = max(residual, max_abs(univ.T - numerics.as_matrix(t)))
         validity = is_rep_morphism(univ, cert_phi.rep, target, tol)
         residual = max(residual, max(validity.residuals.values()))
         reports.append(LawReport.from_residual("objectwise_adjunction", residual, tol))
     return merge_reports("objectwise_adjunction", reports)
+
+
+def _factorizations(t, cert_phi, target, cert_psi, tol):
+    """universal_factorization of T into the target, and m_target L_T."""
+    univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
+    counit = mediating_morphism(target, tol, cert=cert_psi)
+    return univ, counit.L @ _stine_t(t, cert_phi, cert_psi, tol).L
+
+
+def _stine_t(t, cert_phi, cert_psi, tol) -> RepMorphism:
+    """(T, L_T) between the canonical dilations cert_phi and cert_psi."""
+    return stine_on_morphism(
+        t, cert_phi.source, cert_psi.source, tol, src_cert=cert_phi, dst_cert=cert_psi
+    )
 
 
 def example_27():
@@ -279,11 +286,7 @@ def counterexample_suite(tol: Tolerance = DEFAULT_TOL) -> LawReport:
 
     phi, psi, t = example_27()
     variants = check_morphism_variants(t, phi, psi, tol)
-    if (variants.diagram_23, variants.diagram_22, variants.diagram_24) != (
-        False,
-        True,
-        True,
-    ):
+    if (variants.diagram_23, variants.diagram_22, variants.diagram_24) != (False, True, True):
         witnesses.append("first counterexample pattern mismatch")
         residual = max(residual, 1.0)
     unit_image = apply(phi, phi.domain.unit())
@@ -292,17 +295,11 @@ def counterexample_suite(tol: Tolerance = DEFAULT_TOL) -> LawReport:
 
     phi2, psi2, t2 = example_28()
     variants2 = check_morphism_variants(t2, phi2, psi2, tol)
-    if (variants2.diagram_23, variants2.diagram_22, variants2.diagram_24) != (
-        False,
-        False,
-        True,
-    ):
+    if (variants2.diagram_23, variants2.diagram_22, variants2.diagram_24) != (False, False, True):
         witnesses.append("second counterexample pattern mismatch")
         residual = max(residual, 1.0)
     e12 = phi2.domain.basis_index(0, 0, 1)
-    violation2 = max_abs(
-        t2 @ phi2.basis_images[e12] - psi2.basis_images[e12] @ t2
-    )
+    violation2 = max_abs(t2 @ phi2.basis_images[e12] - psi2.basis_images[e12] @ t2)
     if violation2 < 0.4:
         witnesses.append(f"second counterexample violation {violation2:.3f} < 0.4")
         residual = max(residual, 0.4 - violation2)
@@ -375,17 +372,14 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         positives = all(r.passed for r in self.reports)
-        negatives = all(
-            (not c.passed) and c.max_residual >= CONTROL_FLOOR for c in self.controls
-        )
-        return positives and negatives
+        return positives and all(c.failed_as_required for c in self.controls)
 
     def first_failure(self):
         for r in self.reports:
             if not r.passed:
                 return r
         for c in self.controls:
-            if c.passed or c.max_residual < CONTROL_FLOOR:
+            if not c.failed_as_required:
                 return LawReport(
                     f"control:{c.name}", c.max_residual, False, c.witnesses
                 )
@@ -417,15 +411,6 @@ def _tracial_sample(rng, max_dim):
     return tracial_map(m, p), tracial_map(m, q), t
 
 
-def _transported_morphism(t, phi, psi, src_rep, dst_rep, tol, cert_phi, cert_psi):
-    """A morphism between two arbitrary dilations: conjugate L_T by the
-    mediating isometries of both sides."""
-    l_t = stine_on_morphism(t, phi, psi, tol, src_cert=cert_phi, dst_cert=cert_psi)
-    m_src = mediating_morphism(src_rep, tol, cert=cert_phi)
-    m_dst = mediating_morphism(dst_rep, tol, cert=cert_psi)
-    return RepMorphism(l_t.T, m_dst.L @ l_t.L @ dagger(m_src.L))
-
-
 def run_default_suite(
     seed: int = 0,
     draws: int = 100,
@@ -433,10 +418,8 @@ def run_default_suite(
     tol: Tolerance = DEFAULT_TOL,
 ) -> SuiteResult:
     """The full verification ensemble behind the `laws` CLI command."""
-    warnings = []
     if draws <= 0:
-        warnings.append("draws <= 0: nothing sampled, suite passes vacuously")
-        return SuiteResult((), (), tuple(warnings))
+        return SuiteResult((), (), ("draws <= 0: nothing sampled, suite passes vacuously",))
 
     zigzag = []
     naturality = []
@@ -464,19 +447,20 @@ def run_default_suite(
         cert_psi = stinespring_dilate(psi_m, tol)
         target = inflate_rep(rng, cert_psi, extra_m)
         morphism = universal_factorization(t_m, phi_m, target, tol, cert=cert_m)
-        naturality.append(
-            check_naturality_m(morphism, cert_m.rep, target, tol)
-        )
-        # morphisms between two inflated dilations, neither of them canonical
+        # a morphism between two inflated dilations, neither of them canonical:
+        # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
-        between = _transported_morphism(
-            t_m, phi_m, psi_m, src_inflated, target, tol, cert_m, cert_psi
-        )
-        naturality.append(check_naturality_m(between, src_inflated, target, tol))
-        adjunction_samples.append((phi_m, target, t_m))
+        l_t = _stine_t(t_m, cert_m, cert_psi, tol)
+        m_src = mediating_morphism(src_inflated, tol, cert=cert_m)
+        m_dst = mediating_morphism(target, tol, cert=cert_psi)
+        between = RepMorphism(l_t.T, m_dst.L @ l_t.L @ dagger(m_src.L))
+        adjunction_samples.append((t_m, cert_m, target, cert_psi))
         dagger_entries.append(OcpMorphism(phi_m, psi_m, t_m))
-        dagger_entries.append((morphism, cert_m.rep, target))
-        dagger_entries.append((between, src_inflated, target))
+        for entry, src in ((morphism, cert_m.rep), (between, src_inflated)):
+            naturality.append(
+                check_naturality_m(entry, src, target, tol, src_cert=cert_m, dst_cert=cert_psi)
+            )
+            dagger_entries.append((entry, src, target))
 
         # hom-first sampling so unital embeddings always exist
         f = random_hom(rng, FdCStarAlgebra(_draw_blocks(rng, 2)), max_mult=1)
@@ -484,12 +468,24 @@ def run_default_suite(
         cert_top = stinespring_dilate(phi_top, tol)
         extra_top = [int(rng.integers(0, 2)) for _ in f.target.blocks]
         rep_top = inflate_rep(rng, cert_top, extra_top)
-        modification.append(check_modification(f, rep_top, tol))
+        pulled_top = stinespring_dilate(pullback(phi_top, f, tol), tol, check_cp=False)
+        modification.append(
+            check_modification(f, rep_top, tol, cert=cert_top, pulled_cert=pulled_top)
+        )
 
         f_prime = random_hom(rng, FdCStarAlgebra(_draw_blocks(rng, 2)), max_mult=1)
         f_outer = random_hom(rng, f_prime.target, max_mult=1)
         phi_chain = random_cp_map(rng, f_outer.target.blocks, 1, kraus_rank=2)
-        oplax.append(check_oplax(f_outer, f_prime, phi_chain, tol))
+        phi_f = pullback(phi_chain, f_outer, tol)
+        certs = (
+            stinespring_dilate(phi_chain, tol, check_cp=False),
+            stinespring_dilate(phi_f, tol, check_cp=False),
+            stinespring_dilate(pullback(phi_f, f_prime, tol), tol, check_cp=False),
+        )
+        oplax.append(check_oplax(f_outer, f_prime, tol, certs=certs))
+        if i == 0:
+            chain = (f_outer, f_prime, certs)
+            controls = _negative_controls(seed, cert, adjunction_samples[0], chain, tol)
 
     reports = [
         merge_reports("zigzag", zigzag),
@@ -501,62 +497,42 @@ def run_default_suite(
         counterexample_suite(tol),
         partial_isometry_suite(seed, min(draws * 5, 500), tol),
     ]
-    controls = _negative_controls(seed, tol)
-    return SuiteResult(tuple(reports), tuple(controls), tuple(warnings))
+    return SuiteResult(tuple(reports), tuple(controls))
 
 
-def _negative_controls(seed: int, tol: Tolerance) -> list[LawReport]:
-    """Deliberately broken instances; each report must come back failing."""
-    rng = rng_for(seed, 10_000)
+def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[LawReport]:
+    """Draw 0's zig-zag certificate, adjunction sample and oplax chain, each
+    deliberately broken; every report must come back failing."""
     controls = []
 
     # mediating morphism scaled off unity breaks the second zig-zag
-    phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
-    cert = stinespring_dilate(phi, tol)
     med = mediating_morphism(cert.rep, tol, cert=cert)
     sabotage = max_abs(1.01 * med.L - numerics.eye(cert.rep.h))
     controls.append(LawReport.from_residual("control_sabotaged_mediating", sabotage, tol))
 
     # a random L is not natural
-    phi_m, psi_m, t_m = _morphism_sample(rng, 3, tol)
-    cert_m = stinespring_dilate(phi_m, tol)
-    cert_p = stinespring_dilate(psi_m, tol)
-    l_t = stine_on_morphism(t_m, phi_m, psi_m, tol, src_cert=cert_m, dst_cert=cert_p)
+    t, cert_phi, target, cert_psi = sample
+    l_t = _stine_t(t, cert_phi, cert_psi, tol)
+    rng = rng_for(seed, 10_000)
     bad_l = l_t.L + 0.1 * numerics.as_matrix(
         rng.standard_normal(l_t.L.shape) + 1j * rng.standard_normal(l_t.L.shape)
     )
-    m_src = mediating_morphism(cert_m.rep, tol, cert=cert_m)
-    m_dst = mediating_morphism(cert_p.rep, tol, cert=cert_p)
+    m_src = mediating_morphism(cert_phi.rep, tol, cert=cert_phi)
+    m_dst = mediating_morphism(cert_psi.rep, tol, cert=cert_psi)
     residual = max_abs(m_dst.L @ l_t.L - bad_l @ m_src.L)
     controls.append(LawReport.from_residual("control_non_morphism_naturality", residual, tol))
 
     # scrambling the quotient coordinates of the middle dilation breaks oplax
-    f_prime = random_hom(rng, FdCStarAlgebra((2,)), max_mult=1)
-    f_outer = random_hom(rng, f_prime.target, max_mult=1)
-    phi_chain = random_cp_map(rng, f_outer.target.blocks, 1, kraus_rank=2)
-    cert0 = stinespring_dilate(phi_chain, tol)
-    phi_f = pullback(phi_chain, f_outer, tol)
-    cert1 = stinespring_dilate(phi_f, tol, check_cp=False)
-    phi_ff = pullback(phi_f, f_prime, tol)
-    cert2 = stinespring_dilate(phi_ff, tol, check_cp=False)
+    f, f_prime, (cert0, cert1, cert2) = chain
     scrambled_q = np.roll(cert1.q_pinv, 1, axis=1).copy()
     scrambled_q[:, 0] *= 2.0
     scrambled = replace(cert1, q_pinv=scrambled_q)
-    l_f = stine_f(phi_chain, f_outer, tol, cert=cert0, pulled_cert=scrambled)
-    l_fp = stine_f(phi_f, f_prime, tol, cert=scrambled, pulled_cert=cert2)
-    l_comp = stine_f(phi_chain, compose_homs(f_outer, f_prime), tol, cert=cert0, pulled_cert=cert2)
-    residual = max_abs(l_comp.L - l_f.L @ l_fp.L)
+    residual = _composition_residual(f, f_prime, (cert0, scrambled, cert2), tol)
     controls.append(LawReport.from_residual("control_scrambled_quotient", residual, tol))
 
     # perturbing the counit breaks the objectwise factorization
-    phi_a, psi_a, t_a = _morphism_sample(rng, 3, tol)
-    cert_a = stinespring_dilate(phi_a, tol)
-    cert_b = stinespring_dilate(psi_a, tol)
-    target = inflate_rep(rng, cert_b, [1] * len(psi_a.domain.blocks))
-    univ = universal_factorization(t_a, phi_a, target, tol, cert=cert_a)
-    l_ta = stine_on_morphism(t_a, phi_a, restrict(target), tol, src_cert=cert_a, dst_cert=None)
-    counit = mediating_morphism(target, tol)
-    residual = max_abs(univ.L - (1.01 * counit.L) @ l_ta.L)
+    univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol)
+    residual = max_abs(univ.L - 1.01 * through_counit)
     controls.append(LawReport.from_residual("control_perturbed_counit", residual, tol))
 
     # the A -> A (+) tr(A)/2 padding is not multiplicative; the gate must say so

@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
 
+from dilatory import dilation
 from dilatory.algebra import FdCStarAlgebra, identity_hom
-from dilatory.cpmap import OcpMap, tracial_map
+from dilatory.cpmap import OcpMap, pullback, tracial_map
 from dilatory.dilation import (
+    AnchoredRep,
     RepMorphism,
     mediating_morphism,
+    restrict,
     stinespring_dilate,
     universal_factorization,
 )
@@ -59,6 +64,19 @@ def test_zigzag_on_canonical_and_inflated():
     assert report.passed and report.max_residual <= 1e-10
 
 
+def test_zigzag_rejects_a_rep_that_does_not_dilate_the_certified_map():
+    rng = rng_for(80, 0)
+    phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
+    cert = stinespring_dilate(phi, TOL)
+    inflated = inflate_rep(rng, cert, [1])
+    bad = AnchoredRep(
+        inflated.algebra, inflated.k, inflated.h, inflated.pi_images, 1.01 * inflated.V
+    )
+    assert max_abs(restrict(bad).basis_images - phi.basis_images) > 1e-3
+    report = check_zigzag(phi, bad, TOL, cert=cert)
+    assert not report.passed and report.max_residual >= CONTROL_FLOOR
+
+
 def test_zigzag_detects_sabotage():
     rng = rng_for(81, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
@@ -77,12 +95,13 @@ def test_naturality_positive_and_negative():
     cert_psi = stinespring_dilate(psi, TOL)
     target = inflate_rep(rng, cert_psi, [1])
     morphism = universal_factorization(x, phi, target, TOL, cert=cert)
-    report = check_naturality_m(morphism, cert.rep, target, TOL)
+    certs = {"src_cert": cert, "dst_cert": cert_psi}
+    report = check_naturality_m(morphism, cert.rep, target, TOL, **certs)
     assert report.passed
 
     bad = RepMorphism(morphism.T, morphism.L + 0.1)
     with pytest.raises(NotMorphism):
-        check_naturality_m(bad, cert.rep, target, TOL)
+        check_naturality_m(bad, cert.rep, target, TOL, **certs)
 
 
 def test_modification_identity_and_random():
@@ -91,9 +110,10 @@ def test_modification_identity_and_random():
     phi = random_cp_map(rng, f.target.blocks, 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
     rep = inflate_rep(rng, cert, [1] * len(f.target.blocks))
-    assert check_modification(f, rep, TOL).passed
+    pulled_cert = stinespring_dilate(pullback(phi, f, TOL), TOL)
+    assert check_modification(f, rep, TOL, cert=cert, pulled_cert=pulled_cert).passed
     ident = identity_hom(phi.domain)
-    assert check_modification(ident, rep, TOL).passed
+    assert check_modification(ident, rep, TOL, cert=cert, pulled_cert=cert).passed
 
 
 def test_modification_rejects_padding_map():
@@ -102,7 +122,7 @@ def test_modification_rejects_padding_map():
     phi = random_cp_map(rng, (2, 3), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
     with pytest.raises(InvalidHom):
-        check_modification(padded, cert.rep, TOL)
+        check_modification(padded, cert.rep, TOL, cert=cert, pulled_cert=cert)
 
 
 def test_oplax_identity_chain_and_random():
@@ -110,9 +130,16 @@ def test_oplax_identity_chain_and_random():
     f_prime = random_hom(rng, FdCStarAlgebra((2,)), max_mult=1)
     f = random_hom(rng, f_prime.target, max_mult=1)
     phi = random_cp_map(rng, f.target.blocks, 1, kraus_rank=2)
-    assert check_oplax(f, f_prime, phi, TOL).passed
+    assert check_oplax(f, f_prime, TOL, certs=chain_certs(phi, f, f_prime)).passed
     ident = identity_hom(phi.domain)
-    assert check_oplax(ident, ident, phi, TOL).passed
+    assert check_oplax(ident, ident, TOL, certs=chain_certs(phi, ident, ident)).passed
+
+
+def chain_certs(phi, f, f_prime):
+    """Canonical dilations of phi, phi o f and phi o f o f'."""
+    phi_f = pullback(phi, f, TOL)
+    phi_ff = pullback(phi_f, f_prime, TOL)
+    return tuple(stinespring_dilate(m, TOL) for m in (phi, phi_f, phi_ff))
 
 
 def test_dagger_entries():
@@ -140,8 +167,9 @@ def test_objectwise_adjunction_positive():
         phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
         x = random_unitary(rng, 2)
         psi = OcpMap(phi.domain, 2, tuple(x @ m @ x.conj().T for m in phi.basis_images))
-        target = inflate_rep(rng, stinespring_dilate(psi, TOL), [1])
-        samples.append((phi, target, x))
+        cert_psi = stinespring_dilate(psi, TOL)
+        target = inflate_rep(rng, cert_psi, [1])
+        samples.append((x, stinespring_dilate(phi, TOL), target, cert_psi))
     report = objectwise_adjunction_suite(samples, TOL)
     assert report.passed and report.max_residual <= 1e-9
 
@@ -187,6 +215,25 @@ def test_default_suite_ok_and_reproducible():
     assert all(
         (not c.passed) and c.max_residual >= CONTROL_FLOOR for c in result1.controls
     )
+
+
+def test_default_suite_dilates_each_map_once(monkeypatch):
+    """One laws draw: 8 sampled or pulled-back maps, each dilated once; no
+    more than 7 homomorphism gates."""
+    counts = {"stinespring_dilate": 0, "check_star_hom": 0}
+    for name in counts:
+        real = getattr(dilation, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("dilatory") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    assert run_default_suite(seed=7, draws=1, tol=TOL).ok
+    assert counts["stinespring_dilate"] == 8
+    assert counts["check_star_hom"] <= 7
 
 
 def test_default_suite_zero_draws():

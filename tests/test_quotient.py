@@ -24,7 +24,7 @@ from dilatory.dilation import (
     universal_factorization,
 )
 from dilatory.errors import NotCompletelyPositive, NotHermitian
-from dilatory.laws import CONTROL_FLOOR, _negative_controls
+from dilatory.laws import CONTROL_FLOOR, run_default_suite
 from dilatory.numerics import Tolerance, hermitian_eig, kron, max_abs
 from dilatory.randgen import (
     complex_gaussian,
@@ -134,7 +134,7 @@ def test_cli_forced_dilate_of_non_hermitian_map_exits_2(tmp_path):
 
 def test_negative_controls_fail_by_the_floor():
     for seed in range(200):
-        for control in _negative_controls(seed, TOL):
+        for control in run_default_suite(seed=seed, draws=1, tol=TOL).controls:
             assert not control.passed and control.max_residual >= CONTROL_FLOOR, (seed, control)
 
 
