@@ -48,7 +48,7 @@ from .algebra import (
     element_from_coefficients,
     representation_hom,
 )
-from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism, pullback
+from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism
 from .errors import (
     DegenerateDimension,
     NotCompletelyPositive,
@@ -275,20 +275,20 @@ def stine_on_morphism(
     phi: OcpMap,
     psi: OcpMap,
     tol: Tolerance = DEFAULT_TOL,
-    src_cert: DilationCertificate | None = None,
-    dst_cert: DilationCertificate | None = None,
+    *,
+    src_cert: DilationCertificate,
+    dst_cert: DilationCertificate,
 ) -> RepMorphism:
     """Transport a morphism T of CP maps to (T, L_T) between the dilations.
 
     L_T compresses id_A (x) T to the quotients, as span columns at the anchor
-    W T times Q+; it is an isometry whenever T is, and is functorial.
+    W T times Q+ (W and Q+ from dst_cert and src_cert, the dilations of psi
+    and phi); it is an isometry whenever T is, and is functorial.
     """
     mat = as_matrix(t)
     ok, res = is_ocp_morphism(mat, phi, psi, tol)
     if not ok:
         raise NotMorphism(f"T is not a morphism of CP maps; residual {res:.3e}")
-    src_cert = src_cert if src_cert is not None else stinespring_dilate(phi, tol)
-    dst_cert = dst_cert if dst_cert is not None else stinespring_dilate(psi, tol)
     l_t = _span_columns(dst_cert.rep, dst_cert.rep.V @ mat) @ src_cert.q_pinv
     return RepMorphism(mat, l_t)
 
@@ -304,21 +304,17 @@ def pullback_rep(rep: AnchoredRep, f: StarHom) -> AnchoredRep:
 def stine_f(
     phi: OcpMap,
     f: StarHom,
-    tol: Tolerance = DEFAULT_TOL,
-    cert: DilationCertificate | None = None,
-    pulled_cert: DilationCertificate | None = None,
+    *,
+    cert: DilationCertificate,
+    pulled_cert: DilationCertificate,
 ) -> RepMorphism:
     """Comparison isometry (id_K, L_f) from the dilation of phi o f.
 
     L_f compresses f (x) id_K between the two quotients (f on the basis axis
     of Q, times Q+); it lands in the pullback along f of the dilation of phi
-    and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.  Only
-    without pulled_cert is f gated, by the pullback that builds it.
+    and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.  f is
+    not gated here: the pullback that pulled_cert dilates gates it.
     """
-    cert = cert if cert is not None else stinespring_dilate(phi, tol)
-    pulled_cert = pulled_cert if pulled_cert is not None else stinespring_dilate(
-        pullback(phi, f, tol), tol, check_cp=False
-    )
     q = cert.Q.reshape(cert.dimension, -1, phi.k)
     l_f = (f.matrix.T @ q).reshape(cert.dimension, -1) @ pulled_cert.q_pinv
     return RepMorphism(numerics.eye(phi.k), l_f)
@@ -332,20 +328,13 @@ def _span_columns(rep: AnchoredRep, anchor: np.ndarray | None = None) -> np.ndar
     return cols.reshape(rep.h, -1)
 
 
-def mediating_morphism(
-    rep: AnchoredRep,
-    tol: Tolerance = DEFAULT_TOL,
-    cert: DilationCertificate | None = None,
-) -> RepMorphism:
+def mediating_morphism(rep: AnchoredRep, *, cert: DilationCertificate) -> RepMorphism:
     """Canonical isometry (id_K, m) from the minimal dilation of restrict(rep).
 
-    m sends the class of b_alpha (x) e_s to pi(b_alpha) V e_s.  It is an
-    isometry whether or not V is, and on the canonical dilation itself it is
-    the identity.
+    m sends the class of b_alpha (x) e_s to pi(b_alpha) V e_s, the class taken
+    in ``cert``, a dilation of restrict(rep).  It is an isometry whether or
+    not V is, and on the canonical dilation itself it is the identity.
     """
-    cert = cert if cert is not None else stinespring_dilate(
-        restrict(rep), tol, check_cp=False
-    )
     m = _span_columns(rep) @ cert.q_pinv
     return RepMorphism(numerics.eye(rep.k), m)
 
@@ -355,7 +344,8 @@ def universal_factorization(
     phi: OcpMap,
     target: AnchoredRep,
     tol: Tolerance = DEFAULT_TOL,
-    cert: DilationCertificate | None = None,
+    *,
+    cert: DilationCertificate,
 ) -> RepMorphism:
     """The unique morphism out of the canonical dilation restricting to T.
 
@@ -369,7 +359,6 @@ def universal_factorization(
         raise NotMorphism(
             f"T is not a morphism into the restriction of the target; residual {res:.3e}"
         )
-    cert = cert if cert is not None else stinespring_dilate(phi, tol)
     cols = _span_columns(target, target.V @ mat)
     return RepMorphism(mat, cols @ cert.q_pinv)
 
@@ -391,20 +380,17 @@ def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def minimal_unitary(
-    rep: AnchoredRep,
-    tol: Tolerance = DEFAULT_TOL,
-    cert: DilationCertificate | None = None,
+    rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *, cert: DilationCertificate
 ) -> RepMorphism:
     """Unitary (id_K, U) from the canonical dilation onto a minimal dilation.
 
-    The dilation space is canonical only up to unitary, so without the
-    originating certificate the comparison is pinned to the freshly computed
-    canonical dilation of restrict(rep); pass ``cert`` to compare against an
-    existing one (then the canonical dilation itself maps by the identity).
+    The dilation space is canonical only up to unitary, so the comparison is
+    pinned to ``cert``, a dilation of restrict(rep); the canonical dilation
+    itself then maps by the identity.
     """
     if not is_minimal(rep, tol):
         raise NotMinimal("representation is not minimal; no unitary comparison exists")
-    morphism = mediating_morphism(rep, tol, cert=cert)
+    morphism = mediating_morphism(rep, cert=cert)
     u = morphism.L
     defect = max(
         max_abs(dagger(u) @ u - numerics.eye(u.shape[1])),

@@ -64,10 +64,6 @@ class NotRepresentation(DilatoryError):
     """Images do not define a unital *-representation at tolerance."""
 
 
-class NonIntegralMultiplicity(DilatoryError):
-    """Carrier dimension is not divisible by the block size."""
-
-
 class NotEquivalent(DilatoryError):
     """Two representations have different multiplicity vectors."""
 

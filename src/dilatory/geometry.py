@@ -2,11 +2,13 @@
 
 A partial isometry is detected by the algebraic test L = L L* L and
 cross-checked against the restricted-isometry definition on its initial
-space.  Representations of matrix blocks are brought to the normal form
-R pi(a) R* = a (x) 1 by transporting an orthonormal basis of range pi(E_11)
-with the units pi(E_i1); purification then reduces to extending, block by
-block, the tensor factor of the connecting morphism between two dilations of
-the same map.
+space.  A representation is brought to the normal form
+R pi(a) R* = (+)_j a_j (x) 1_{c_j} straight off its matrix units: the
+multiplicity space of block j is range pi(E^j_00), and the units pi(E^j_a0)
+carry an orthonormal basis of it across the block (Davidson, C*-Algebras by
+Example, ch. III).  Purification then reduces to extending, block by block,
+the tensor factor of the connecting morphism between two dilations of the
+same map.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .dilation import (
 from .errors import (
     DegenerateDimension,
     DilatoryError,
-    NonIntegralMultiplicity,
     NotEquivalent,
     NotExtension,
     NotPartialIsometry,
@@ -162,80 +163,41 @@ def _rep_images(pi_images, algebra: FdCStarAlgebra, tol: Tolerance) -> np.ndarra
     return images
 
 
-def normal_form_matrix_rep(pi_images, n: int, tol: Tolerance = DEFAULT_TOL):
-    """Multiplicity p and unitary R with R pi(a) R* = a (x) 1_p, for pi on M_n.
-
-    Columns of R* are pi(E_{i1}) w_alpha with {w_alpha} an orthonormal basis
-    of range pi(E_11), ordered i major.
-    """
-    algebra = FdCStarAlgebra((int(n),))
-    return _straighten(_rep_images(pi_images, algebra, tol), algebra, tol)
-
-
-def _straighten(images: np.ndarray, algebra: FdCStarAlgebra, tol: Tolerance):
-    """normal_form_matrix_rep, ungated, on a representation of algebra = M_n."""
-    n = algebra.blocks[0]
-    h = images.shape[1]
-    if h % n:
-        raise NonIntegralMultiplicity(f"dim {h} is not a multiple of {n}")
-    p = h // n
-
-    e11 = images[algebra.basis_index(0, 0, 0)]
-    w, u = numerics.hermitian_eig(e11, tol)
-    if int(np.count_nonzero(w > 0.5)) != p:
-        raise NotRepresentation("range of pi(E_11) has the wrong dimension")
-    basis = u[:, :p]
-
-    # column block i is pi(E_i1) basis
-    r_star = np.ascontiguousarray((images[::n] @ basis).transpose(1, 0, 2)).reshape(h, h)
-    r = dagger(r_star)
-
-    worst = max_abs(r @ images @ r_star - boxplus_rep_images(algebra, [p]))
-    if worst > tol.eps_eq:
-        raise NotRepresentation(f"normal form residual {worst:.3e}")
-    return p, r
-
-
 def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance = DEFAULT_TOL):
     """Multiplicities (c_1, ..., c_t) and unitary R onto the block normal form.
 
-    The central projections pi(0 + ... + 1_{n_j} + ... + 0) split the carrier;
-    each nonzero piece is a multiple of the defining representation of its
-    block and is straightened as in normal_form_matrix_rep, but not gated
-    again.  Zero multiplicities contribute empty factors and are skipped.
+    The multiplicity space of block j is range pi(E^j_00), c_j its rank (one
+    eigensolve per block); the units pi(E^j_a0) carry its orthonormal basis
+    across the block, and those columns, ordered a major, are the rows of R
+    for block j.  A killed block contributes none.  Since pi(1) = 1, the one
+    residual check against the normal form also proves R unitary.
     """
     images = _rep_images(pi_images, algebra, tol)
     h = images.shape[1]
-
-    mults = []
-    rows = []
-    consumed = 0
-    for j, n in enumerate(algebra.blocks):
-        offset = algebra._offsets[j]
-        block = images[offset : offset + n * n]
-        # pi of the unit of block j, the sum of its diagonal units
-        central = numerics.linear_extension(np.eye(n).reshape(-1), block)
-        w, u = numerics.hermitian_eig(central, tol)
-        hj = int(np.count_nonzero(w > 0.5))
-        if hj % n:
-            raise NonIntegralMultiplicity(
-                f"block {j}: subspace dimension {hj} not divisible by {n}"
-            )
-        mults.append(hj // n)
-        if hj == 0:
-            continue
-        basis = u[:, :hj]
-        _, r_j = _straighten(dagger(basis) @ block @ basis, FdCStarAlgebra((n,)), tol)
-        rows.append(r_j @ dagger(basis))
-        consumed += hj
-    if consumed != h:
-        raise NotRepresentation("central projections do not exhaust the carrier")
-    r = np.vstack(rows) if rows else numerics.zeros(0, h)
+    mults, columns = [], []
+    for n, offset in zip(algebra.blocks, algebra._offsets):
+        w, u = numerics.hermitian_eig(images[offset], tol)
+        c = int(np.count_nonzero(w > 0.5))
+        mults.append(c)
+        # column (a, alpha) is pi(E_a0) u_alpha
+        carried = images[offset : offset + n * n : n] @ u[:, :c]
+        columns.append(carried.transpose(1, 0, 2).reshape(h, n * c))
+    if sum(n * c for n, c in zip(algebra.blocks, mults)) != h:
+        raise NotRepresentation("the ranges of the pi(E_00) do not fill the carrier")
+    r = dagger(np.concatenate(columns, axis=1))
+    worst = max_abs(r @ images @ dagger(r) - boxplus_rep_images(algebra, mults))
+    if worst > tol.eps_eq:
+        raise NotRepresentation(f"normal form residual {worst:.3e}")
     return tuple(mults), r
 
 
 def restriction_mismatch(rep1: AnchoredRep, rep2: AnchoredRep) -> float:
-    return max_abs(restrict(rep1).basis_images - restrict(rep2).basis_images)
+    """Largest entry of the difference of the two restrictions, relative to
+    the larger largest entry of the two (0 when both vanish)."""
+    phi1 = restrict(rep1).basis_images
+    phi2 = restrict(rep2).basis_images
+    scale = max(max_abs(phi1), max_abs(phi2))
+    return max_abs(phi1 - phi2) / scale if scale > 0.0 else 0.0
 
 
 def connecting_morphism(
@@ -252,10 +214,10 @@ def connecting_morphism(
         raise ShapeMismatch("representations anchor different spaces")
     mismatch = restriction_mismatch(rep1, rep2)
     if mismatch > tol.eps_eq:
-        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e}")
+        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e} of their largest entry")
     cert = stinespring_dilate(restrict(rep1), tol, check_cp=False)
-    m1 = mediating_morphism(rep1, tol, cert=cert)
-    m2 = mediating_morphism(rep2, tol, cert=cert)
+    m1 = mediating_morphism(rep1, cert=cert)
+    m2 = mediating_morphism(rep2, cert=cert)
     return RepMorphism(numerics.eye(rep1.k), m2.L @ dagger(m1.L))
 
 

@@ -101,9 +101,9 @@ def check_zigzag(
     representations from the canonical dilation to rep, and the mediating
     morphism of the canonical dilation of phi must itself be the identity.
     """
-    counit = mediating_morphism(rep, tol, cert=cert)
+    counit = mediating_morphism(rep, cert=cert)
     first = max(is_rep_morphism(counit, cert.rep, rep, tol).residuals.values())
-    self_med = mediating_morphism(cert.rep, tol, cert=cert)
+    self_med = mediating_morphism(cert.rep, cert=cert)
     second = max_abs(self_med.L - numerics.eye(cert.rep.h))
     residual = max(first, second)
     return LawReport.from_residual(
@@ -121,8 +121,8 @@ def check_naturality_m(
     if not report.ok:
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
     l_t = _stine_t(morphism.T, src_cert, dst_cert, tol)
-    m_src = mediating_morphism(src, tol, cert=src_cert)
-    m_dst = mediating_morphism(dst, tol, cert=dst_cert)
+    m_src = mediating_morphism(src, cert=src_cert)
+    m_dst = mediating_morphism(dst, cert=dst_cert)
     residual = max_abs(m_dst.L @ l_t.L - morphism.L @ m_src.L)
     return LawReport.from_residual("naturality_m", residual, tol)
 
@@ -137,9 +137,9 @@ def check_modification(
     hom_report = check_star_hom(f, tol)
     if not hom_report.ok:
         raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
-    l_f = stine_f(cert.source, f, tol, cert=cert, pulled_cert=pulled_cert)
-    m_pulled = mediating_morphism(pullback_rep(rep, f), tol, cert=pulled_cert)
-    m_orig = mediating_morphism(rep, tol, cert=cert)
+    l_f = stine_f(cert.source, f, cert=cert, pulled_cert=pulled_cert)
+    m_pulled = mediating_morphism(pullback_rep(rep, f), cert=pulled_cert)
+    m_orig = mediating_morphism(rep, cert=cert)
     residual = max_abs(m_pulled.L - m_orig.L @ l_f.L)
     return LawReport.from_residual("modification", residual, tol)
 
@@ -156,20 +156,20 @@ def check_oplax(
         if not hom_report.ok:
             raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
     cert = certs[0]
-    l_id = stine_f(cert.source, identity_hom(cert.source.domain), tol, cert=cert, pulled_cert=cert)
+    l_id = stine_f(cert.source, identity_hom(cert.source.domain), cert=cert, pulled_cert=cert)
     residual = max(
-        _composition_residual(f, f_prime, certs, tol),
+        _composition_residual(f, f_prime, certs),
         max_abs(l_id.L - numerics.eye(cert.rep.h)),
     )
     return LawReport.from_residual("oplax", residual, tol)
 
 
-def _composition_residual(f, f_prime, certs, tol) -> float:
+def _composition_residual(f, f_prime, certs) -> float:
     """max |L_{f o f'} - L_f L_{f'}| along the chain of dilations certs."""
     cert, cert_f, cert_ff = certs
-    l_f = stine_f(cert.source, f, tol, cert=cert, pulled_cert=cert_f)
-    l_fp = stine_f(cert_f.source, f_prime, tol, cert=cert_f, pulled_cert=cert_ff)
-    l_comp = stine_f(cert.source, compose_homs(f, f_prime), tol, cert=cert, pulled_cert=cert_ff)
+    l_f = stine_f(cert.source, f, cert=cert, pulled_cert=cert_f)
+    l_fp = stine_f(cert_f.source, f_prime, cert=cert_f, pulled_cert=cert_ff)
+    l_comp = stine_f(cert.source, compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
     return max_abs(l_comp.L - l_f.L @ l_fp.L)
 
 
@@ -238,7 +238,7 @@ def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawRep
 def _factorizations(t, cert_phi, target, cert_psi, tol):
     """universal_factorization of T into the target, and m_target L_T."""
     univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
-    counit = mediating_morphism(target, tol, cert=cert_psi)
+    counit = mediating_morphism(target, cert=cert_psi)
     return univ, counit.L @ _stine_t(t, cert_phi, cert_psi, tol).L
 
 
@@ -451,8 +451,8 @@ def run_default_suite(
         # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
         l_t = _stine_t(t_m, cert_m, cert_psi, tol)
-        m_src = mediating_morphism(src_inflated, tol, cert=cert_m)
-        m_dst = mediating_morphism(target, tol, cert=cert_psi)
+        m_src = mediating_morphism(src_inflated, cert=cert_m)
+        m_dst = mediating_morphism(target, cert=cert_psi)
         between = RepMorphism(l_t.T, m_dst.L @ l_t.L @ dagger(m_src.L))
         adjunction_samples.append((t_m, cert_m, target, cert_psi))
         dagger_entries.append(OcpMorphism(phi_m, psi_m, t_m))
@@ -506,7 +506,7 @@ def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[L
     controls = []
 
     # mediating morphism scaled off unity breaks the second zig-zag
-    med = mediating_morphism(cert.rep, tol, cert=cert)
+    med = mediating_morphism(cert.rep, cert=cert)
     sabotage = max_abs(1.01 * med.L - numerics.eye(cert.rep.h))
     controls.append(LawReport.from_residual("control_sabotaged_mediating", sabotage, tol))
 
@@ -517,8 +517,8 @@ def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[L
     bad_l = l_t.L + 0.1 * numerics.as_matrix(
         rng.standard_normal(l_t.L.shape) + 1j * rng.standard_normal(l_t.L.shape)
     )
-    m_src = mediating_morphism(cert_phi.rep, tol, cert=cert_phi)
-    m_dst = mediating_morphism(cert_psi.rep, tol, cert=cert_psi)
+    m_src = mediating_morphism(cert_phi.rep, cert=cert_phi)
+    m_dst = mediating_morphism(cert_psi.rep, cert=cert_psi)
     residual = max_abs(m_dst.L @ l_t.L - bad_l @ m_src.L)
     controls.append(LawReport.from_residual("control_non_morphism_naturality", residual, tol))
 
@@ -527,7 +527,7 @@ def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[L
     scrambled_q = np.roll(cert1.q_pinv, 1, axis=1).copy()
     scrambled_q[:, 0] *= 2.0
     scrambled = replace(cert1, q_pinv=scrambled_q)
-    residual = _composition_residual(f, f_prime, (cert0, scrambled, cert2), tol)
+    residual = _composition_residual(f, f_prime, (cert0, scrambled, cert2))
     controls.append(LawReport.from_residual("control_scrambled_quotient", residual, tol))
 
     # perturbing the counit breaks the objectwise factorization

@@ -123,7 +123,7 @@ def test_criterion_3_zigzag_on_ensemble():
         report = check_zigzag(phi, rep, TOL, cert=cert)
         worst = max(worst, report.max_residual)
         assert report.max_residual <= 1e-9, f"instance {i}"
-        med = mediating_morphism(cert.rep, TOL, cert=cert)
+        med = mediating_morphism(cert.rep, cert=cert)
         identity_residual = max_abs(med.L - np.eye(cert.dimension))
         worst_identity = max(worst_identity, identity_residual)
         assert identity_residual <= 1e-10, f"instance {i}"

@@ -164,7 +164,8 @@ def test_dilate_identity_channel_dimension():
         assert cert.dimension == n
         assert is_preserving(cert.rep, TOL)
         # pi is unitarily equivalent to the defining representation
-        u = minimal_unitary(cert.rep, TOL)
+        fresh = stinespring_dilate(restrict(cert.rep), TOL, check_cp=False)
+        u = minimal_unitary(cert.rep, TOL, cert=fresh)
         assert u.L.shape == (n, n)
 
 
@@ -272,11 +273,11 @@ def test_is_rep_morphism_identity_and_negative():
 
     ident = RepMorphism(np.eye(2), np.eye(rep.h))
     assert is_rep_morphism(ident, rep, rep, TOL).ok
-    med = mediating_morphism(rep, TOL, cert=cert)
+    med = mediating_morphism(rep, cert=cert)
     assert is_rep_morphism(med, cert.rep, rep, TOL).ok
     # perturbing L off the orthogonal complement kills the V*-square only
     inflated = inflate_rep(rng, cert, [1], conjugate=False)
-    incl = mediating_morphism(inflated, TOL, cert=cert)
+    incl = mediating_morphism(inflated, cert=cert)
     bad = np.array(incl.L, copy=True)
     bump = np.zeros_like(bad)
     bump[-1, 0] = 0.5
@@ -299,9 +300,9 @@ def test_stine_on_morphism_tracial():
     tau = tracial_map(2, 2)
     sigma = tracial_map(2, 3)
     t = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    morphism = stine_on_morphism(t, tau, sigma, TOL)
     c1 = stinespring_dilate(tau, TOL)
     c2 = stinespring_dilate(sigma, TOL)
+    morphism = stine_on_morphism(t, tau, sigma, TOL, src_cert=c1, dst_cert=c2)
     assert is_rep_morphism(morphism, c1.rep, c2.rep, TOL).ok
 
 
@@ -310,7 +311,9 @@ def test_stine_on_morphism_isometry_gives_isometry():
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2, unital=True)
     t = random_unitary(rng, 3)[:, :2]
     psi = OcpMap(phi.domain, 3, tuple(t @ m @ t.conj().T for m in phi.basis_images))
-    morphism = stine_on_morphism(t, phi, psi, TOL)
+    morphism = stine_on_morphism(
+        t, phi, psi, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
+    )
     l = morphism.L
     assert max_abs(l.conj().T @ l - np.eye(l.shape[1])) <= 1e-10
 
@@ -336,14 +339,16 @@ def test_stine_on_morphism_gate():
 
     phi, psi, t = example_28()
     with pytest.raises(NotMorphism):
-        stine_on_morphism(t, phi, psi, TOL)
+        stine_on_morphism(
+            t, phi, psi, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
+        )
 
 
 def test_stine_f_identity():
     rng = rng_for(32, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    morphism = stine_f(phi, identity_hom(phi.domain), TOL, cert=cert, pulled_cert=cert)
+    morphism = stine_f(phi, identity_hom(phi.domain), cert=cert, pulled_cert=cert)
     assert max_abs(morphism.L - np.eye(cert.dimension)) <= 1e-10
 
 
@@ -352,14 +357,14 @@ def test_stine_f_scalar_embedding():
     rng = rng_for(33, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2, unital=True)
     bang = unique_unital_hom_from_scalars(phi.domain)
-    morphism = stine_f(phi, bang, TOL)
     pulled = pullback(phi, bang, TOL)
     pulled_cert = stinespring_dilate(pulled, TOL)
+    cert = stinespring_dilate(phi, TOL)
+    morphism = stine_f(phi, bang, cert=cert, pulled_cert=pulled_cert)
     assert pulled_cert.dimension == phi.k
     # L_f is an isometry from that space into the dilation of phi
     l = morphism.L
     assert max_abs(l.conj().T @ l - np.eye(pulled_cert.dimension)) <= 1e-10
-    cert = stinespring_dilate(phi, TOL)
     target = pullback_rep(cert.rep, bang)
     assert is_rep_morphism(morphism, pulled_cert.rep, target, TOL).ok
 
@@ -374,9 +379,9 @@ def test_stine_f_composition_law():
     cert_f = stinespring_dilate(phi_f, TOL)
     phi_ff = pullback(phi_f, f_prime, TOL)
     cert_ff = stinespring_dilate(phi_ff, TOL)
-    l_f = stine_f(phi, f, TOL, cert=cert, pulled_cert=cert_f)
-    l_fp = stine_f(phi_f, f_prime, TOL, cert=cert_f, pulled_cert=cert_ff)
-    l_comp = stine_f(phi, compose_homs(f, f_prime), TOL, cert=cert, pulled_cert=cert_ff)
+    l_f = stine_f(phi, f, cert=cert, pulled_cert=cert_f)
+    l_fp = stine_f(phi_f, f_prime, cert=cert_f, pulled_cert=cert_ff)
+    l_comp = stine_f(phi, compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
     assert max_abs(l_comp.L - l_f.L @ l_fp.L) <= 1e-10
 
 
@@ -384,7 +389,7 @@ def test_mediating_morphism_canonical_is_identity():
     rng = rng_for(35, 0)
     phi = random_cp_map(rng, (1, 2), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    med = mediating_morphism(cert.rep, TOL, cert=cert)
+    med = mediating_morphism(cert.rep, cert=cert)
     assert max_abs(med.L - np.eye(cert.dimension)) <= 1e-10
 
 
@@ -393,7 +398,7 @@ def test_mediating_morphism_inclusion_into_inflation():
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
     inflated = inflate_rep(rng, cert, [1], conjugate=False)
-    med = mediating_morphism(inflated, TOL, cert=cert)
+    med = mediating_morphism(inflated, cert=cert)
     d = cert.dimension
     expected = np.zeros((inflated.h, d), dtype=complex)
     expected[:d, :] = np.eye(d)
@@ -406,7 +411,7 @@ def test_mediating_morphism_gns_formula():
     cert = gns(omega, TOL)
     rng = rng_for(37, 0)
     inflated = inflate_rep(rng, cert, [1])
-    med = mediating_morphism(inflated, TOL, cert=cert)
+    med = mediating_morphism(inflated, cert=cert)
     from dilatory.dilation import pi_apply
 
     units = matrix_units(omega.domain)
@@ -424,7 +429,7 @@ def test_mediating_is_isometry_even_for_nonisometric_anchor():
     cert = stinespring_dilate(phi, TOL)
     assert not is_preserving(cert.rep, TOL)
     inflated = inflate_rep(rng, cert, [1])
-    med = mediating_morphism(inflated, TOL, cert=cert)
+    med = mediating_morphism(inflated, cert=cert)
     l = med.L
     assert max_abs(l.conj().T @ l - np.eye(l.shape[1])) <= 1e-10
 
@@ -443,7 +448,7 @@ def test_universal_factorization_is_mediating_for_identity_T():
     cert = stinespring_dilate(phi, TOL)
     target = inflate_rep(rng, cert, [1])
     morphism = universal_factorization(np.eye(2), phi, target, TOL, cert=cert)
-    med = mediating_morphism(target, TOL, cert=cert)
+    med = mediating_morphism(target, cert=cert)
     assert max_abs(morphism.L - med.L) <= 1e-10
 
 
@@ -503,10 +508,11 @@ def test_minimal_unitary_canonical_and_conjugated():
     cert = stinespring_dilate(phi, TOL)
     u = minimal_unitary(cert.rep, TOL, cert=cert)
     assert max_abs(u.L - np.eye(cert.dimension)) <= 1e-10
-    # without the certificate the comparison is still a valid unitary
-    u_free = minimal_unitary(cert.rep, TOL)
+    # against a fresh dilation of the restriction it is still a valid unitary
+    fresh = stinespring_dilate(restrict(cert.rep), TOL, check_cp=False)
+    u_free = minimal_unitary(cert.rep, TOL, cert=fresh)
     assert max_abs(u_free.L @ u_free.L.conj().T - np.eye(cert.dimension)) <= 1e-9
-    assert is_rep_morphism(u_free, stinespring_dilate(restrict(cert.rep), TOL, check_cp=False).rep, cert.rep, TOL).ok
+    assert is_rep_morphism(u_free, fresh.rep, cert.rep, TOL).ok
 
     x = random_unitary(rng, cert.dimension)
     conj = AnchoredRep(
@@ -523,7 +529,7 @@ def test_minimal_unitary_canonical_and_conjugated():
 
     inflated = inflate_rep(rng, cert, [1])
     with pytest.raises(NotMinimal):
-        minimal_unitary(inflated, TOL)
+        minimal_unitary(inflated, TOL, cert=cert)
 
 
 def test_gns_dimensions():

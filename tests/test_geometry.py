@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilatory.algebra import FdCStarAlgebra, matrix_units
-from dilatory.cpmap import tracial_map
+from dilatory import numerics
+from dilatory.cpmap import kraus_map, tracial_map
 from dilatory.dilation import (
     AnchoredRep,
     is_rep_morphism,
@@ -25,7 +26,6 @@ from dilatory.geometry import (
     is_extension,
     is_intertwining_extension,
     normal_form_general_rep,
-    normal_form_matrix_rep,
     partial_isometry_report,
     purification_residuals,
     purify_partial,
@@ -35,6 +35,8 @@ from dilatory.geometry import (
 from dilatory.numerics import Tolerance, kron, max_abs
 from dilatory.randgen import (
     boxplus_rep_images,
+    complex_gaussian,
+    inflate_rep,
     random_cp_map,
     random_dilation_pair,
     random_unitary,
@@ -308,7 +310,7 @@ def test_tensor_factor_rejects_swap():
 def test_normal_form_identity_rep():
     n = 3
     units = [e.block_data[0] for e in matrix_units(FdCStarAlgebra((n,)))]
-    p, r = normal_form_matrix_rep(units, n, TOL)
+    (p,), r = normal_form_general_rep(units, FdCStarAlgebra((n,)), TOL)
     assert p == 1
     np.testing.assert_allclose(r, np.eye(n), atol=1e-12)
 
@@ -316,7 +318,7 @@ def test_normal_form_identity_rep():
 def test_normal_form_tensor_rep():
     n, mult = 2, 2
     units = [kron(e.block_data[0], np.eye(mult)) for e in matrix_units(FdCStarAlgebra((n,)))]
-    p, r = normal_form_matrix_rep(units, n, TOL)
+    (p,), r = normal_form_general_rep(units, FdCStarAlgebra((n,)), TOL)
     assert p == mult
     np.testing.assert_allclose(r, np.eye(n * mult), atol=1e-12)
 
@@ -329,7 +331,7 @@ def test_normal_form_conjugated_roundtrip():
         x @ kron(e.block_data[0], np.eye(mult)) @ x.conj().T
         for e in matrix_units(FdCStarAlgebra((n,)))
     ]
-    p, r = normal_form_matrix_rep(units, n, TOL)
+    (p,), r = normal_form_general_rep(units, FdCStarAlgebra((n,)), TOL)
     assert p == mult
     for e, img in zip(matrix_units(FdCStarAlgebra((n,))), units):
         target = kron(e.block_data[0], np.eye(mult))
@@ -341,7 +343,7 @@ def test_normal_form_rejects_non_rep():
     broken = [u.copy() for u in units]
     broken[1] = 0.5 * broken[1]
     with pytest.raises(NotRepresentation):
-        normal_form_matrix_rep(broken, 2, TOL)
+        normal_form_general_rep(broken, FdCStarAlgebra((2,)), TOL)
 
 
 def test_normal_form_general_identity_blocks():
@@ -542,3 +544,89 @@ def test_normal_form_general_rejects_malformed_images():
     broken[1] = 0.5 * broken[1]
     with pytest.raises(NotRepresentation):
         normal_form_general_rep(broken, algebra, TOL)
+
+
+def test_normal_form_one_eigensolve_per_block(monkeypatch):
+    rng = rng_for(69, 0)
+    algebra = FdCStarAlgebra((2, 3, 1))
+    x = random_unitary(rng, 7)
+    images = x @ boxplus_rep_images(algebra, (2, 0, 3)) @ x.conj().T
+    calls = []
+    eig = numerics.hermitian_eig
+    monkeypatch.setattr(numerics, "hermitian_eig", lambda m, tol: calls.append(1) or eig(m, tol))
+    mults, _ = normal_form_general_rep(images, algebra, TOL)
+    assert mults == (2, 0, 3)
+    assert len(calls) == algebra.num_blocks
+
+
+def _inflated_images(rng, algebra, k):
+    """Images of an inflated dilation; some blocks are killed by the map and
+    stay killed unless the junk summand revives them."""
+    killed = [bool(rng.integers(0, 2)) for _ in algebra.blocks]
+    killed[int(rng.integers(0, algebra.num_blocks))] = False
+    families = [
+        [(0.0 if dead else 1.0) * complex_gaussian(rng, k, n) for _ in range(2)]
+        for n, dead in zip(algebra.blocks, killed)
+    ]
+    cert = stinespring_dilate(kraus_map(families, algebra, k), TOL)
+    extra = [int(rng.integers(0, 2)) for _ in algebra.blocks]
+    dead = tuple(d and not e for d, e in zip(killed, extra))
+    return inflate_rep(rng, cert, extra).pi_images, dead
+
+
+def _direct_sum(a, b):
+    h1, h2 = a.shape[1], b.shape[1]
+    out = np.zeros((len(a), h1 + h2, h1 + h2), dtype=np.complex128)
+    out[:, :h1, :h1] = a
+    out[:, h1:, h1:] = b
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normal_form_metamorphic(blocks, k, seed):
+    rng = np.random.default_rng(seed)
+    algebra = FdCStarAlgebra(tuple(blocks))
+    images, dead = _inflated_images(rng, algebra, k)
+    mults, r = normal_form_general_rep(images, algebra, TOL)
+    assert tuple(c == 0 for c in mults) == dead
+    h = images.shape[1]
+    assert max_abs(r @ r.conj().T - np.eye(h)) <= 1e-10
+    assert max_abs(r.conj().T @ r - np.eye(h)) <= 1e-10
+    assert max_abs(r @ images @ r.conj().T - boxplus_rep_images(algebra, mults)) <= 1e-10
+    # invariant under a change of basis
+    x = random_unitary(rng, h)
+    assert normal_form_general_rep(x @ images @ x.conj().T, algebra, TOL)[0] == mults
+    # additive under direct sums
+    other, _ = _inflated_images(rng, algebra, k)
+    other_mults, _ = normal_form_general_rep(other, algebra, TOL)
+    summed, _ = normal_form_general_rep(_direct_sum(images, other), algebra, TOL)
+    assert summed == tuple(a + b for a, b in zip(mults, other_mults))
+
+
+def _scaled(rep, s):
+    return AnchoredRep(rep.algebra, rep.k, rep.h, rep.pi_images, np.sqrt(s) * rep.V)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    blocks=st.sampled_from([(2, 3), (2,), (1, 2), (3,)]),
+    log_s=st.floats(-12.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_purify_decision_is_scale_free(blocks, log_s, seed):
+    # both anchors scaled by sqrt(s): the restrictions scale by s
+    rng = np.random.default_rng(seed)
+    s = 10.0**log_s
+    junk = [1] * len(blocks)
+    _, _, rep1, rep2 = random_dilation_pair(rng, blocks, 3, TOL, extra1=junk, extra2=junk)
+    _, _, other, _ = random_dilation_pair(rng, blocks, 3, TOL, extra1=junk)
+    rep1, rep2, other = _scaled(rep1, s), _scaled(rep2, s), _scaled(other, s)
+    u = purify_unitary(rep1, rep2, TOL)
+    assert max_abs(u @ u.conj().T - np.eye(rep1.h)) <= 1e-8
+    with pytest.raises(RestrictionMismatch):
+        purify_unitary(rep1, other, TOL)

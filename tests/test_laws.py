@@ -81,7 +81,7 @@ def test_zigzag_detects_sabotage():
     rng = rng_for(81, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    med = mediating_morphism(cert.rep, TOL, cert=cert)
+    med = mediating_morphism(cert.rep, cert=cert)
     residual = max_abs(1.01 * med.L - np.eye(cert.dimension))
     assert residual >= CONTROL_FLOOR
 

@@ -86,14 +86,14 @@ def test_transports_match_dense_formulas(blocks, k, pad, seed):
     target = inflate_rep(rng, cert_psi, [1] * len(blocks))
     univ = universal_factorization(t, phi, target, TOL, cert=cert_phi)
     assert_close(univ.L, loop_columns(target, target.V @ t) @ cert_phi.q_pinv)
-    m = mediating_morphism(target, TOL, cert=cert_psi)
+    m = mediating_morphism(target, cert=cert_psi)
     assert_close(m.L, loop_columns(target, target.V) @ cert_psi.q_pinv)
 
     f = random_hom(rng, FdCStarAlgebra(blocks), max_mult=1)
     top = random_cp_map(rng, f.target.blocks, k, kraus_rank=2)
     cert_top = stinespring_dilate(top, TOL)
     cert_pulled = stinespring_dilate(pullback(top, f, TOL), TOL)
-    l_f = stine_f(top, f, TOL, cert=cert_top, pulled_cert=cert_pulled)
+    l_f = stine_f(top, f, cert=cert_top, pulled_cert=cert_pulled)
     lifted = kron(f.matrix, np.eye(k))
     assert_close(l_f.L, dense_q(cert_top) @ lifted @ cert_pulled.q_pinv)
 

@@ -324,7 +324,7 @@ def test_stacked_forms_equal_their_loops(blocks, k, seed):
             r <= TOL.eps_eq for r in (r23, r22, r24)
         )
 
-    med = mediating_morphism(rep, TOL, cert=cert)
+    med = mediating_morphism(rep, cert=cert)
     junk = RepMorphism(med.T, complex_gaussian(rng, rep.h, cert.rep.h))
     for m in (med, junk):
         inter = 0.0
