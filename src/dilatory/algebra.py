@@ -10,7 +10,7 @@ and the CP maps and representations of the other modules by one
 arrays the package built.  The *-hom gate multiplies one row of basis
 images against the whole stack at a time and reads the expected products
 from index tables built once per algebra.  The commutant of a generating
-set is the joint null space of commutator superoperators.
+set is solved block by block in the eigenbasis of one generic element.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ import numpy as np
 
 from . import numerics
 from .errors import ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, kron, linear_extension, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, linear_extension, max_abs
+
+# spectral gap of the generic element, relative to its largest eigenvalue,
+# at which commutant splits the search space (see its docstring)
+_CLUSTER_GAP = 1e-2
+# bytes of commutator rows folded into commutant's running R at a time
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -313,35 +319,77 @@ def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
 def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Hilbert-Schmidt-orthonormal basis of the commutant of a generating set.
 
-    Solves X S = S X for every generator S and its adjoint by stacking the
-    commutator superoperators (column-stacking convention) and extracting
-    their joint null space at the eps_rank cutoff, relative to the top
-    singular value of the stack.  The stack has norm at most 2 max ||S||_F,
-    so a top singular value at or below eps_rank * max ||S||_F is rounding
-    (scalar generators) and the commutant is everything; both tests are
-    invariant under rescaling the generators.
+    Every X that commutes with each generator S and its adjoint commutes
+    with H = sum_i w_i Re S_i + w'_i Im S_i, so it is block diagonal over
+    H's eigenspaces: the first step of the block-diagonalisation of Murota,
+    Kanno, Kojima and Kojima (Japan J. Indust. Appl. Math. 27, 2010).  The
+    weights are golden-ratio fractional parts in [0.5, 1.5), with no RNG.
+    One eigensolve of H, with its sorted spectrum cut wherever consecutive
+    eigenvalues differ by more than 1e-2 max|lambda|, gives clusters, and
+    X = u blockdiag(Y_c) u* is solved for the sum_c m_c^2 unknowns of the
+    Y_c, not h^2.
+
+    Merging eigenspaces only enlarges the search space: a coarse gap costs
+    time, never correctness.  A fine gap costs accuracy, since across a gap
+    g the computed eigenvectors mix by about eps ||H|| / g and that mixing
+    enters the commutation residual directly.  At 1e-2 the residual stays
+    near the dense null space's: 5e-15 against 2.5e-15 on inflated
+    dilations, where a gap of sqrt(eps_rank) gave 1.8e-13.
+
+    Column (i, j) of the reduced system is vec(S' E_ij - E_ij S') for
+    S' = u* S u and for its adjoint, scattered by index.  The rows are
+    folded a few generators at a time into a running triangular factor R,
+    so the commutator stack A is never held, and the null space is read off
+    the SVD of R.  The cut is eps_rank times a stand-in for A's top singular
+    value: the larger of R's and |A|_F / h.  Both are at most A's, and the
+    second is within a factor h of it, so unknowns whose own equations are
+    all small (commuting generators, a cluster of nearly equal eigenvalues)
+    are still weighed against the whole stack.  A stand-in at or below
+    eps_rank * max ||S||_F is rounding (scalar generators), and every
+    block-diagonal Y commutes.  Both tests are invariant under rescaling
+    the generators.
     """
     n = int(ambient_dim)
     gens = [as_matrix(g) for g in generators]
     for g in gens:
         if g.shape != (n, n):
             raise ShapeMismatch(f"generator shape {g.shape} != ({n}, {n})")
-    if not gens:
-        gens = [numerics.zeros(n, n)]
-    ident = numerics.eye(n)
-    n2 = n * n
-    stacked = np.empty((2 * len(gens) * n2, n2), dtype=np.complex128)
-    for i, s in enumerate(m for g in gens for m in (g, dagger(g))):
-        # vec(SX - XS) = (I (x) S - S^T (x) I) vec(X), columns stacked
-        block = stacked[i * n2 : (i + 1) * n2]
-        block[:] = kron(ident, s)
-        block -= kron(s.T, ident)
-    scale = max(float(np.linalg.norm(g)) for g in gens)
-    sing, v = numerics.right_singular(stacked)
-    smax = float(sing[0]) if sing.size else 0.0
-    if smax <= tol.eps_rank * scale:
-        null_cols = range(n2)
+    stack = np.array(gens) if gens else np.zeros((1, n, n), dtype=np.complex128)
+
+    # H = T + T* with T = sum_i z_i S_i and z_i = (w_i - i w'_i) / 2
+    weights = 0.5 + np.modf(np.arange(1, 2 * len(stack) + 1) * (1.0 + 5.0**0.5) / 2.0)[0]
+    z = 0.5 * (weights[0::2] - 1j * weights[1::2])
+    t = np.tensordot(z, stack, axes=1)
+    lam, u = numerics.hermitian_eig(t + dagger(t), tol)
+    edges = np.flatnonzero(np.abs(np.diff(lam)) > _CLUSTER_GAP * max_abs(lam)) + 1
+    starts = np.concatenate(([0], edges))
+    sizes = np.diff(np.concatenate((starts, [n])))
+    # unknown p is the entry (rows[p], cols[p]) of one cluster's block Y_c
+    rows = np.concatenate([s + np.repeat(np.arange(m), m) for s, m in zip(starts, sizes)])
+    cols = np.concatenate([s + np.tile(np.arange(m), m) for s, m in zip(starts, sizes)])
+    unknowns = rows.size
+
+    primed = dagger(u) @ stack @ u
+    primed = np.concatenate([primed, np.conj(primed).transpose(0, 2, 1)])
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n * unknowns))
+    r = np.zeros((0, unknowns), dtype=np.complex128)
+    p = np.arange(unknowns)
+    for lo in range(0, len(primed), per_chunk):
+        chunk = primed[lo : lo + per_chunk]
+        # S' E_ij puts column i of S' in column j; E_ij S' puts row j in row i
+        block = np.zeros((len(chunk), n, n, unknowns), dtype=np.complex128)
+        block[:, :, cols, p] = chunk[:, :, rows]
+        block[:, rows, :, p] -= chunk[:, cols, :].transpose(1, 0, 2)
+        r = np.linalg.qr(np.concatenate([r, block.reshape(-1, unknowns)]), mode="r")
+
+    # |A|_F^2 = 4 h sum_i |S_i - tr(S_i) / h|_F^2 for the full stack A
+    centred = stack - (np.trace(stack, axis1=1, axis2=2) / n)[:, None, None] * numerics.eye(n)
+    sing, v = numerics.right_singular(r)
+    top = max(float(sing[0]), 2.0 * np.sqrt(np.sum(np.abs(centred) ** 2) / n))
+    if top <= tol.eps_rank * float(np.linalg.norm(stack, axis=(1, 2)).max()):
+        rank = 0
     else:
-        rank = int(np.count_nonzero(sing > tol.eps_rank * smax))
-        null_cols = range(rank, n2)
-    return [np.asarray(v[:, j]).reshape((n, n), order="F") for j in null_cols]
+        rank = int(np.count_nonzero(sing > tol.eps_rank * top))
+    y = np.zeros((unknowns - rank, n, n), dtype=np.complex128)
+    y[:, rows, cols] = v[:, rank:].T
+    return list(u @ y @ dagger(u))

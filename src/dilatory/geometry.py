@@ -312,9 +312,16 @@ def purification_residuals(u, rep1: AnchoredRep, rep2: AnchoredRep) -> dict:
 
 
 def _verify_purification(u, rep1, rep2, tol: Tolerance, require_unitary: bool):
+    """Refuse U unless it intertwines, carries V onto W and, when asked, is
+    unitary.  The anchor residual |U V - W| is taken relative to the larger
+    largest entry of the two anchors (0 when both vanish), as in
+    restriction_mismatch, so the decision does not move when both anchors
+    are rescaled; the other residuals are scale-free already."""
     res = purification_residuals(u, rep1, rep2)
     bound = 10.0 * tol.eps_eq
-    if res["intertwine"] > bound or res["anchor"] > bound:
+    scale = max(max_abs(rep1.V), max_abs(rep2.V))
+    anchor = res["anchor"] / scale if scale > 0.0 else 0.0
+    if res["intertwine"] > bound or anchor > bound:
         raise DilatoryError(f"purification residuals too large: {res}")
     if require_unitary and max(res["isometry_defect"], res["coisometry_defect"]) > bound:
         raise NotEquivalent(f"assembled map is not unitary: {res}")

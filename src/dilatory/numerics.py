@@ -1,19 +1,18 @@
 """Dense complex linear-algebra kernel.
 
-Deterministic Hermitian eigendecomposition, SVD, tolerance-based rank and
-positivity tests, and Kronecker products.  Every decomposition applies the
-same phase-fixing rule (largest-magnitude entry of each vector made real and
-positive), so repeated runs on the same input are bit-identical and
-downstream constructions are reproducible.
+Deterministic Hermitian eigendecomposition, SVD, tolerances, and Kronecker
+products.  Every decomposition applies the same phase-fixing rule
+(largest-magnitude entry of each vector made real and positive), so repeated
+runs on the same input are bit-identical and downstream constructions are
+reproducible.
 
 There are two SVD kernels.  ``svd`` returns the full left basis U and serves
 only the callers that read U's orthogonal complement
 (``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
 callers that need only a rank or a null space (``algebra.commutant``,
-``dilation.is_minimal``, ``geometry.partial_isometry_report``).  A
-commutant's commutator stack has 2 h^2 rows per generator on C^h, and its
-full U is square in that count: 2.0 GB for the 25 generators of M_5 on C^15.
+``dilation.is_minimal``, ``geometry.partial_isometry_report``); on a tall
+input U would be square in the row count.
 """
 
 from __future__ import annotations
@@ -172,29 +171,13 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL):
     return w, u
 
 
-def rank_psd(m, tol: Tolerance = DEFAULT_TOL):
-    """Spectral rank and positive-semidefiniteness of a Hermitian matrix.
-
-    rank counts eigenvalues above ``eps_rank * lambda_max`` (zero when the
-    whole spectrum sits below ``eps_rank`` in absolute terms); the matrix is
-    PSD when the smallest eigenvalue is above ``-eps_rank * max(lambda_max, 1)``.
-    """
-    w, _ = hermitian_eig(m, tol)
-    if w.size == 0:
-        return 0, True
-    lam_max = float(w[0])
-    lam_min = float(w[-1])
-    if lam_max <= tol.eps_rank:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(w > tol.eps_rank * lam_max))
-    is_psd = lam_min >= -tol.eps_rank * max(lam_max, 1.0)
-    return rank, is_psd
-
-
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, left factor major: (i, alpha) -> i * cols_b + alpha."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product of two matrices, left factor major: (i, alpha) ->
+    i * cols_b + alpha.  One broadcast product, the same products as np.kron."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    shape = (a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(shape)
 
 
 def svd(m):

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dilatory.algebra import (
     FdCStarAlgebra,
@@ -299,3 +299,111 @@ def test_commutant_dimension_is_scale_free(seed, log_scale):
     assert len(commutant(images, ambient, TOL)) == expected
     assert len(commutant([s * g for g in images], ambient, TOL)) == expected
 
+
+def _check_against_reference(generators, n):
+    """commutant against the null space of the full commutator stack, taken
+    from its full SVD at commutant's cutoff."""
+    basis = commutant(generators, n, TOL)
+    _, sing, vh = np.linalg.svd(_commutator_stack(generators, n), full_matrices=False)
+    top = sing[0]
+    scale = max(np.linalg.norm(g) for g in generators)
+    op_scale = max(np.linalg.norm(g, 2) for g in generators)
+    # commutant's stand-in for the top singular value is known only to
+    # within a factor n, so a value that close to a cut may fall either way
+    assume(not TOL.eps_rank * scale < top <= n * TOL.eps_rank * scale)
+    if top <= TOL.eps_rank * scale:
+        rank = 0
+    else:
+        assume(not np.any((sing > TOL.eps_rank * top / n) & (sing <= TOL.eps_rank * top)))
+        # a relative cut below the rounding of the generators themselves is
+        # decided by noise, in the reference as much as in commutant
+        assume(TOL.eps_rank * top > 1e-12 * op_scale)
+        rank = int(np.count_nonzero(sing > TOL.eps_rank * top))
+    null = vh[rank:].conj().T
+    cols = np.stack([x.reshape(-1, order="F") for x in basis], axis=1)
+    assert cols.shape == null.shape
+    assert max_abs(cols.conj().T @ cols - np.eye(cols.shape[1])) <= 1e-13
+    # two null spaces of one operator differ by rounding (relative to the
+    # generators) over the spectral gap
+    gap = sing[rank - 1] if rank else np.inf
+    assert max_abs(cols @ cols.conj().T - null @ null.conj().T) <= 1e-13 * (1.0 + op_scale / gap)
+    # commutation holds to rounding, plus what the cut counts as zero
+    below = sing[rank] if rank < sing.size else 0.0
+    for x in basis:
+        for g in generators:
+            assert max_abs(x @ g - g @ x) <= 1e-13 * op_scale + below
+    return basis
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    blocks=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_commutant_matches_stacked_reference_on_conjugated_boxplus(seed, blocks, data):
+    rng = np.random.default_rng(seed)
+    mults = data.draw(st.lists(st.integers(0, 2), min_size=len(blocks), max_size=len(blocks)))
+    if not any(mults):
+        mults[0] = 1
+    algebra = FdCStarAlgebra(tuple(blocks))
+    h = sum(n * c for n, c in zip(blocks, mults))
+    u = random_unitary(rng, h)
+    images = list(u @ boxplus_rep_images(algebra, mults) @ u.conj().T)
+    basis = _check_against_reference(images, h)
+    assert len(basis) == sum(c * c for c in mults)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(2, 7),
+    log_delta=st.floats(-12.0, -3.0),
+    conjugate=st.booleans(),
+)
+def test_commutant_near_degenerate_spectrum(seed, h, log_delta, conjugate):
+    # pairs of diagonal entries k and k (1 + delta): the generic element has
+    # eigenvalue gaps from 1e-12 to 1e-3 of its spread, inside one cluster
+    rng = np.random.default_rng(seed)
+    delta = 10.0**log_delta
+    base = np.repeat(np.arange(1, h), 2)[:h].astype(float)
+    diag = np.diag(base * (1.0 + delta * (np.arange(h) % 2)))
+    x = random_unitary(rng, h) if conjugate else np.eye(h)
+    _check_against_reference([x @ diag @ x.conj().T], h)
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 5))
+def test_commutant_of_a_shift_is_scalars(seed, h):
+    # a non-normal generator: the shift's own commutant is its polynomials
+    # (dimension h), but with its adjoint it generates M_h, so only scalars
+    x = random_unitary(np.random.default_rng(seed), h)
+    shift = np.diag(np.ones(h - 1), 1)
+    assert len(_check_against_reference([x @ shift @ x.conj().T], h)) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_commutant_of_scalars_and_of_nothing_is_everything(n):
+    for generators in ([], [3.0 * np.eye(n)], [np.eye(n), -2j * np.eye(n), np.zeros((n, n))]):
+        basis = commutant(generators, n, TOL)
+        assert len(basis) == n * n
+        cols = np.stack([x.reshape(-1) for x in basis], axis=1)
+        assert max_abs(cols.conj().T @ cols - np.eye(n * n)) <= 1e-13
+
+
+def test_commutant_of_4_4_at_h24_is_small():
+    # (4, 4), Kraus rank 2 and one junk copy per block: multiplicities (3, 3)
+    rng = rng_for(10, 0)
+    phi = random_cp_map(rng, (4, 4), 2, kraus_rank=2)
+    rep = inflate_rep(rng, stinespring_dilate(phi, TOL), [1, 1])
+    assert rep.h == 24
+    tracemalloc.start()
+    try:
+        basis = commutant(rep.pi_images, rep.h, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) == 18
+    assert peak < 100 * 2**20
+    for x in basis:
+        assert max_abs(x @ rep.pi_images - rep.pi_images @ x) <= 1e-13

@@ -11,7 +11,7 @@ from dilatory.cpmap import OcpMap, is_completely_positive, is_unital, tracial_ma
 from dilatory.dilation import stinespring_dilate
 from dilatory.errors import MalformedInput
 from dilatory.geometry import purification_residuals, purify_partial, purify_unitary
-from dilatory.numerics import Tolerance
+from dilatory.numerics import Tolerance, hermitian_eig
 from dilatory.randgen import (
     random_cp_map,
     random_dilation_pair,
@@ -37,6 +37,16 @@ from dilatory.serialize import (
 )
 
 TOL = Tolerance()
+
+
+def rank_psd(m, tol):
+    """Spectral rank and PSD test of a Hermitian matrix, as in test_numerics."""
+    w, _ = hermitian_eig(m, tol)
+    if w.size == 0:
+        return 0, True
+    lam_max, lam_min = float(w[0]), float(w[-1])
+    rank = 0 if lam_max <= tol.eps_rank else int(np.count_nonzero(w > tol.eps_rank * lam_max))
+    return rank, lam_min >= -tol.eps_rank * max(lam_max, 1.0)
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -185,7 +195,6 @@ def test_cli_random_rank_one_is_ad_form(tmp_path):
     assert main(["random", "--seed", "3", "--blocks", "2", "--k", "2", "--kraus-rank", "1", "--out", str(out)]) == 0
     phi = decode_ocp_map(json.loads(out.read_text()))
     from dilatory.cpmap import choi_blocks
-    from dilatory.numerics import rank_psd
 
     rank, psd = rank_psd(choi_blocks(phi)[0], TOL)
     assert (rank, psd) == (1, True)

@@ -25,10 +25,21 @@ from dilatory.cpmap import (
 )
 from dilatory.errors import NotIsometry, NotMorphism
 from dilatory.laws import example_27, example_28
-from dilatory.numerics import Tolerance, hermitian_eig, max_abs, rank_psd
+from dilatory.numerics import Tolerance, hermitian_eig, max_abs
 from dilatory.randgen import random_cp_map, random_hom, random_unitary, rng_for
 
 TOL = Tolerance()
+
+
+def rank_psd(m, tol):
+    """Spectral rank and PSD test of a Hermitian matrix, as in test_numerics."""
+    w, _ = hermitian_eig(m, tol)
+    if w.size == 0:
+        return 0, True
+    lam_max, lam_min = float(w[0]), float(w[-1])
+    rank = 0 if lam_max <= tol.eps_rank else int(np.count_nonzero(w > tol.eps_rank * lam_max))
+    return rank, lam_min >= -tol.eps_rank * max(lam_max, 1.0)
+
 
 M2 = FdCStarAlgebra((2,))
 

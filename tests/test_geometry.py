@@ -12,6 +12,7 @@ from dilatory.dilation import (
 )
 from dilatory.errors import (
     DegenerateDimension,
+    DilatoryError,
     NotEquivalent,
     NotExtension,
     NotPartialIsometry,
@@ -21,6 +22,7 @@ from dilatory.errors import (
     ShapeMismatch,
 )
 from dilatory.geometry import (
+    _verify_purification,
     connecting_morphism,
     extend_partial_isometry,
     is_extension,
@@ -630,3 +632,28 @@ def test_purify_decision_is_scale_free(blocks, log_s, seed):
     assert max_abs(u @ u.conj().T - np.eye(rep1.h)) <= 1e-8
     with pytest.raises(RestrictionMismatch):
         purify_unitary(rep1, other, TOL)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    blocks=st.sampled_from([(2, 3), (2,), (1, 2), (3,)]),
+    log_s=st.floats(12.0, 24.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_purification_self_check_is_scale_free_at_large_scales(blocks, log_s, seed):
+    # the anchor residual |U V - W| grows with sqrt(s); the self-check weighs it
+    # against the anchors, so valid pairs purify and a wrong U is still refused
+    rng = np.random.default_rng(seed)
+    s = 10.0**log_s
+    junk = [1] * len(blocks)
+    _, _, rep1, rep2 = random_dilation_pair(rng, blocks, 3, TOL, extra1=junk, extra2=junk)
+    rep1, rep2 = _scaled(rep1, s), _scaled(rep2, s)
+    u = purify_unitary(rep1, rep2, TOL)
+    assert max_abs(u @ u.conj().T - np.eye(rep1.h)) <= 1e-8
+    u_partial, label = purify_partial(rep1, rep2, TOL)
+    assert label == "unitary"
+    _verify_purification(u_partial, rep1, rep2, TOL, require_unitary=True)
+    with pytest.raises(DilatoryError):
+        _verify_purification(1.01 * u, rep1, rep2, TOL, require_unitary=False)
+    with pytest.raises(DilatoryError):
+        _verify_purification(1.01 * u, rep1, rep2, TOL, require_unitary=True)

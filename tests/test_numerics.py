@@ -9,12 +9,26 @@ from dilatory.numerics import (
     hermitian_eig,
     kron,
     max_abs,
-    rank_psd,
     right_singular,
     svd,
 )
 
 TOL = Tolerance()
+
+
+def rank_psd(m, tol):
+    """Spectral rank and positive-semidefiniteness of a Hermitian matrix.
+
+    rank counts eigenvalues above ``eps_rank * lambda_max`` (zero when the
+    whole spectrum sits below ``eps_rank`` in absolute terms); the matrix is
+    PSD when the smallest eigenvalue is above ``-eps_rank * max(lambda_max, 1)``.
+    """
+    w, _ = hermitian_eig(m, tol)
+    if w.size == 0:
+        return 0, True
+    lam_max, lam_min = float(w[0]), float(w[-1])
+    rank = 0 if lam_max <= tol.eps_rank else int(np.count_nonzero(w > tol.eps_rank * lam_max))
+    return rank, lam_min >= -tol.eps_rank * max(lam_max, 1.0)
 
 
 def random_hermitian(rng, n):
@@ -199,3 +213,22 @@ def test_right_singular_matches_full_svd(rows, cols, rank, seed):
     s2, v2 = right_singular(m.copy())
     assert s.tobytes() == s2.tobytes()
     assert v.tobytes() == v2.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shapes=st.tuples(*[st.integers(0, 4)] * 4),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kron_bytes_equal_numpy_kron(shapes, real, seed):
+    rng = np.random.default_rng(seed)
+    r1, c1, r2, c2 = shapes
+    a = rng.standard_normal((r1, c1))
+    if not real:
+        a = a + 1j * rng.standard_normal((r1, c1))
+    b = rng.standard_normal((r2, c2)) + 1j * rng.standard_normal((r2, c2))
+    out = kron(a, b)
+    ref = np.kron(a.astype(np.complex128), b)
+    assert out.dtype == ref.dtype and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
