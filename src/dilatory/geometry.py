@@ -2,7 +2,10 @@
 
 A partial isometry is detected by the algebraic test L = L L* L and
 cross-checked against the restricted-isometry definition on its initial
-space.  A representation is brought to the normal form
+space (Halmos and McLaughlin, Partial isometries, 1963).  Both tests are
+written once, over a stack of matrices: partial_isometry_report decides one
+matrix as a stack of one, and classify_partial_isometries decides a whole
+list in one zero-padded batch.  A representation is brought to the normal form
 R pi(a) R* = (+)_j a_j (x) 1_{c_j} straight off its matrix units: the
 multiplicity space of block j is range pi(E^j_00), and the units pi(E^j_a0)
 carry an orthonormal basis of it across the block (Davidson, C*-Algebras by
@@ -51,30 +54,55 @@ class PartialIsometryReport:
     """
 
     is_partial_isometry: bool
+    restricted_isometry_ok: bool
     initial_space_basis: np.ndarray
     residual: float
     initial_defect: float
-    eps_eq: float
 
-    @property
-    def restricted_isometry_ok(self) -> bool:
-        return self.initial_defect <= self.eps_eq
+
+def _dual_tests(stack: np.ndarray, sing: np.ndarray, tol: Tolerance):
+    """Both definitions for each matrix L of a stack, given its singular
+    values: the residual max|L L* L - L| and the defect max|s - 1| over the
+    s > eps_rank, then the two verdicts, each that its figure is at most
+    eps_eq."""
+    cube = stack @ np.conj(stack.swapaxes(-1, -2)) @ stack
+    residual = np.max(np.abs(cube - stack), axis=(-2, -1), initial=0.0)
+    defect = np.max(np.abs(sing - 1.0), axis=-1, where=sing > tol.eps_rank, initial=0.0)
+    return residual, defect, residual <= tol.eps_eq, defect <= tol.eps_eq
 
 
 def partial_isometry_report(l, tol: Tolerance = DEFAULT_TOL) -> PartialIsometryReport:
     mat = as_matrix(l)
-    residual = max_abs(mat @ dagger(mat) @ mat - mat)
     sing, v = numerics.right_singular(mat)
-    keep = sing > tol.eps_rank
-    basis = v[:, : int(np.count_nonzero(keep))]
-    defect = float(np.max(np.abs(sing[keep] - 1.0))) if np.any(keep) else 0.0
+    residual, defect, algebraic, restricted = _dual_tests(mat[None], sing[None], tol)
     return PartialIsometryReport(
-        is_partial_isometry=residual <= tol.eps_eq,
-        initial_space_basis=basis,
-        residual=residual,
-        initial_defect=defect,
-        eps_eq=tol.eps_eq,
+        is_partial_isometry=bool(algebraic[0]),
+        restricted_isometry_ok=bool(restricted[0]),
+        initial_space_basis=v[:, : int(np.count_nonzero(sing > tol.eps_rank))],
+        residual=float(residual[0]),
+        initial_defect=float(defect[0]),
     )
+
+
+def classify_partial_isometries(matrices, tol: Tolerance = DEFAULT_TOL):
+    """Both verdicts of partial_isometry_report for a list of matrices, in
+    one batch: returns the residuals and the algebraic and restricted-isometry
+    verdicts, each an array in list order.
+
+    The matrices are zero-padded into one (count, side, side) stack, with one
+    batched residual and one batched svd(compute_uv=False).  Padding changes
+    neither verdict: the padded entries of L L* L - L are exact zeros, and
+    the extra singular values are 0, below eps_rank.
+    """
+    side = max((max(np.shape(m)) for m in matrices), default=0)
+    stack = np.zeros((len(matrices), side, side), dtype=np.complex128)
+    for j, m in enumerate(matrices):
+        rows, cols = np.shape(m)
+        stack[j, :rows, :cols] = m
+    stack = as_stack(stack)
+    sing = numerics.singular_values(stack)
+    residual, _, algebraic, restricted = _dual_tests(stack, sing, tol)
+    return residual, algebraic, restricted
 
 
 def is_extension(l, m, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -6,9 +6,11 @@ morphism, the comparison triangle for algebra maps, oplax composition, dagger
 laws, and the objectwise universal property of the adjunction.  Each checker
 takes the dilation certificates its law speaks about and returns a LawReport
 whose pass flag is equivalent to its residual being below eps_eq.  The default
-suite dilates each sampled map once and mixes positive ensembles with negative
-controls (draw 0's objects, sabotaged, that must fail loudly), so a tolerance
-bug cannot silently turn every check green.
+suite dilates each sampled map once, transports each sampled morphism once,
+and mixes positive ensembles with negative controls (draw 0's objects,
+sabotaged, that must fail loudly), so a tolerance bug cannot silently turn
+every check green.  The partial-isometry suite draws all its samples first
+and classifies every one of them in a single padded batch.
 """
 
 from __future__ import annotations
@@ -49,14 +51,16 @@ from .dilation import (
     universal_factorization,
 )
 from .errors import InvalidHom, NotMorphism
-from .geometry import partial_isometry_report
+from .geometry import classify_partial_isometries
 from .numerics import DEFAULT_TOL, Tolerance, dagger, kron, max_abs
 from .randgen import (
+    complex_gaussian,
     inflate_rep,
     random_cp_map,
     random_hom,
     random_unitary,
     rng_for,
+    unitary_factor,
 )
 
 CONTROL_FLOOR = 1e-3
@@ -113,14 +117,14 @@ def check_zigzag(
 
 def check_naturality_m(
     morphism: RepMorphism, src: AnchoredRep, dst: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *,
-    src_cert: DilationCertificate, dst_cert: DilationCertificate,
+    src_cert: DilationCertificate, dst_cert: DilationCertificate, l_t: RepMorphism,
 ) -> LawReport:
     """Naturality square of m: m_dst after L_T equals L after m_src, with
-    src_cert and dst_cert the canonical dilations of the two restrictions."""
+    src_cert and dst_cert the canonical dilations of the two restrictions
+    and l_t the transport (T, L_T) of morphism.T between them."""
     report = is_rep_morphism(morphism, src, dst, tol)
     if not report.ok:
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
-    l_t = _stine_t(morphism.T, src_cert, dst_cert, tol)
     m_src = mediating_morphism(src, cert=src_cert)
     m_dst = mediating_morphism(dst, cert=dst_cert)
     residual = max_abs(m_dst.L @ l_t.L - morphism.L @ m_src.L)
@@ -215,18 +219,21 @@ def check_dagger(entries, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     return LawReport("dagger", float(residual), ok, tuple(witnesses))
 
 
-def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawReport:
+def objectwise_adjunction_suite(
+    samples, tol: Tolerance = DEFAULT_TOL, *, transports
+) -> LawReport:
     """Universal property at sampled objects.
 
     For each (T, cert_phi, target, cert_psi), with cert_phi and cert_psi the
     canonical dilations of phi and of the restriction psi of the target, and
     T a morphism phi -> psi: the factorization through the counit reproduces
     universal_factorization, restricts back to T on the nose, and passes the
-    morphism checks.
+    morphism checks.  transports holds the matching (T, L_T) between cert_phi
+    and cert_psi, one per sample.
     """
     reports = []
-    for t, cert_phi, target, cert_psi in samples:
-        univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol)
+    for (t, cert_phi, target, cert_psi), l_t in zip(samples, transports, strict=True):
+        univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol, l_t)
         residual = max_abs(univ.L - through_counit)
         residual = max(residual, max_abs(univ.T - numerics.as_matrix(t)))
         validity = is_rep_morphism(univ, cert_phi.rep, target, tol)
@@ -235,18 +242,11 @@ def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawRep
     return merge_reports("objectwise_adjunction", reports)
 
 
-def _factorizations(t, cert_phi, target, cert_psi, tol):
+def _factorizations(t, cert_phi, target, cert_psi, tol, l_t):
     """universal_factorization of T into the target, and m_target L_T."""
     univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
     counit = mediating_morphism(target, cert=cert_psi)
-    return univ, counit.L @ _stine_t(t, cert_phi, cert_psi, tol).L
-
-
-def _stine_t(t, cert_phi, cert_psi, tol) -> RepMorphism:
-    """(T, L_T) between the canonical dilations cert_phi and cert_psi."""
-    return stine_on_morphism(
-        t, cert_phi.source, cert_psi.source, tol, src_cert=cert_phi, dst_cert=cert_psi
-    )
+    return univ, counit.L @ l_t.L
 
 
 def example_27():
@@ -308,10 +308,37 @@ def counterexample_suite(tol: Tolerance = DEFAULT_TOL) -> LawReport:
     return LawReport("counterexamples", float(residual), ok, tuple(witnesses))
 
 
-def _random_partial_isometry(rng, rows, cols, rank):
-    u = random_unitary(rng, rows)[:, :rank]
-    v = random_unitary(rng, cols)[:, :rank]
-    return u @ dagger(v)
+def _partial_isometry_samples(seed: int, draws: int):
+    """(rank, clean, noisy, m) for each draw: a partial isometry of the given
+    rank, itself plus 1e-3 Gaussian noise, and the lift size m.
+
+    Draw i reads rng_for(seed, i) in a fixed order: rows, cols, rank, the
+    Gaussians of both unitaries, the noise, m.  None of it depends on a QR,
+    so the unitaries of each size n come afterwards from one stacked QR of
+    all the n x n Gaussians, which equals the one-at-a-time QRs bit for bit.
+    """
+    drawn = []
+    gaussians = {}
+    for i in range(draws):
+        rng = rng_for(seed, i)
+        rows = int(rng.integers(1, 5))
+        cols = int(rng.integers(1, 5))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        at = []
+        for n in (rows, cols):
+            group = gaussians.setdefault(n, [])
+            at.append(len(group))
+            group.append(complex_gaussian(rng, n, n))
+        noise = 1e-3 * rng.standard_normal((rows, cols))
+        drawn.append((rows, cols, rank, at, noise, int(rng.integers(1, 4))))
+    unitaries = {n: unitary_factor(np.stack(group)) for n, group in gaussians.items()}
+    samples = []
+    for rows, cols, rank, (u_at, v_at), noise, m in drawn:
+        u = unitaries[rows][u_at, :, :rank]
+        v = unitaries[cols][v_at, :, :rank]
+        clean = u @ dagger(v)
+        samples.append((rank, clean, clean + noise, m))
+    return samples
 
 
 def partial_isometry_suite(
@@ -323,42 +350,37 @@ def partial_isometry_suite(
     algebraic test and the restricted-isometry test; tensoring with an
     identity must preserve the verdict in both directions; and the classical
     pair of projections witnesses that composites can fail to be partial
-    isometries.
+    isometries.  Every sample is drawn first; then every clean, noisy,
+    lifted and composite matrix is classified in one padded batch by
+    geometry.classify_partial_isometries.
     """
-    residual = 0.0
-    witnesses = []
-    for i in range(draws):
-        rng = rng_for(seed, i)
-        rows = int(rng.integers(1, 5))
-        cols = int(rng.integers(1, 5))
-        rank = int(rng.integers(0, min(rows, cols) + 1))
-        clean = _random_partial_isometry(rng, rows, cols, rank)
-        noisy = clean + 1e-3 * (rng.standard_normal(clean.shape))
-        for sample in (clean, noisy):
-            report = partial_isometry_report(sample, tol)
-            if report.is_partial_isometry != report.restricted_isometry_ok:
-                witnesses.append(f"dual definitions disagree at draw {i}")
-                residual = max(residual, 1.0)
-        m = int(rng.integers(1, 4))
-        lifted = kron(numerics.eye(m), clean)
-        if not partial_isometry_report(lifted, tol).is_partial_isometry:
-            witnesses.append(f"kron broke a partial isometry at draw {i}")
-            residual = max(residual, 1.0)
-        lifted_noisy = kron(numerics.eye(m), noisy)
-        if rank > 0 and partial_isometry_report(lifted_noisy, tol).is_partial_isometry:
-            witnesses.append(f"kron hid a defect at draw {i}")
-            residual = max(residual, 1.0)
-
+    samples = _partial_isometry_samples(seed, draws)
+    matrices = []
+    for _, clean, noisy, m in samples:
+        lift = numerics.eye(m)
+        matrices += [clean, noisy, kron(lift, clean), kron(lift, noisy)]
     # the projections onto span{e1} and span{(e1+e2)/sqrt(2)} do not compose
     p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
     q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=np.complex128)
-    composite = partial_isometry_report(p @ q, tol)
-    if composite.is_partial_isometry or composite.residual < CONTROL_FLOOR:
-        witnesses.append("projection composite unexpectedly passed")
-        residual = max(residual, 1.0)
+    matrices.append(p @ q)
+    residual, algebraic, restricted = classify_partial_isometries(matrices, tol)
+    algebraic, restricted = algebraic.tolist(), restricted.tolist()
 
-    ok = residual <= tol.eps_eq and not witnesses
-    return LawReport("partial_isometries", float(residual), ok, tuple(witnesses))
+    witnesses = []
+    for i, (rank, *_) in enumerate(samples):
+        j = 4 * i
+        for k in (j, j + 1):
+            if algebraic[k] != restricted[k]:
+                witnesses.append(f"dual definitions disagree at draw {i}")
+        if not algebraic[j + 2]:
+            witnesses.append(f"kron broke a partial isometry at draw {i}")
+        if rank > 0 and algebraic[j + 3]:
+            witnesses.append(f"kron hid a defect at draw {i}")
+    if algebraic[-1] or residual[-1] < CONTROL_FLOOR:
+        witnesses.append("projection composite unexpectedly passed")
+
+    residual = 1.0 if witnesses else 0.0
+    return LawReport("partial_isometries", residual, not witnesses, tuple(witnesses))
 
 
 @dataclass(frozen=True)
@@ -427,6 +449,7 @@ def run_default_suite(
     oplax = []
     dagger_entries = []
     adjunction_samples = []
+    transports = []
 
     for i in range(draws):
         rng = rng_for(seed, i)
@@ -450,15 +473,18 @@ def run_default_suite(
         # a morphism between two inflated dilations, neither of them canonical:
         # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
-        l_t = _stine_t(t_m, cert_m, cert_psi, tol)
+        l_t = stine_on_morphism(t_m, phi_m, psi_m, tol, src_cert=cert_m, dst_cert=cert_psi)
         m_src = mediating_morphism(src_inflated, cert=cert_m)
         m_dst = mediating_morphism(target, cert=cert_psi)
         between = RepMorphism(l_t.T, m_dst.L @ l_t.L @ dagger(m_src.L))
         adjunction_samples.append((t_m, cert_m, target, cert_psi))
+        transports.append(l_t)
         dagger_entries.append(OcpMorphism(phi_m, psi_m, t_m))
         for entry, src in ((morphism, cert_m.rep), (between, src_inflated)):
             naturality.append(
-                check_naturality_m(entry, src, target, tol, src_cert=cert_m, dst_cert=cert_psi)
+                check_naturality_m(
+                    entry, src, target, tol, src_cert=cert_m, dst_cert=cert_psi, l_t=l_t
+                )
             )
             dagger_entries.append((entry, src, target))
 
@@ -485,7 +511,9 @@ def run_default_suite(
         oplax.append(check_oplax(f_outer, f_prime, tol, certs=certs))
         if i == 0:
             chain = (f_outer, f_prime, certs)
-            controls = _negative_controls(seed, cert, adjunction_samples[0], chain, tol)
+            controls = _negative_controls(
+                seed, cert, adjunction_samples[0], chain, tol, l_t=transports[0]
+            )
 
     reports = [
         merge_reports("zigzag", zigzag),
@@ -493,16 +521,19 @@ def run_default_suite(
         merge_reports("modification", modification),
         merge_reports("oplax", oplax),
         check_dagger(dagger_entries, tol),
-        objectwise_adjunction_suite(adjunction_samples, tol),
+        objectwise_adjunction_suite(adjunction_samples, tol, transports=transports),
         counterexample_suite(tol),
         partial_isometry_suite(seed, min(draws * 5, 500), tol),
     ]
     return SuiteResult(tuple(reports), tuple(controls))
 
 
-def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[LawReport]:
-    """Draw 0's zig-zag certificate, adjunction sample and oplax chain, each
-    deliberately broken; every report must come back failing."""
+def _negative_controls(
+    seed: int, cert, sample, chain, tol: Tolerance, *, l_t: RepMorphism
+) -> list[LawReport]:
+    """Draw 0's zig-zag certificate, adjunction sample (with its transport
+    l_t) and oplax chain, each deliberately broken; every report must come
+    back failing."""
     controls = []
 
     # mediating morphism scaled off unity breaks the second zig-zag
@@ -512,7 +543,6 @@ def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[L
 
     # a random L is not natural
     t, cert_phi, target, cert_psi = sample
-    l_t = _stine_t(t, cert_phi, cert_psi, tol)
     rng = rng_for(seed, 10_000)
     bad_l = l_t.L + 0.1 * numerics.as_matrix(
         rng.standard_normal(l_t.L.shape) + 1j * rng.standard_normal(l_t.L.shape)
@@ -531,7 +561,7 @@ def _negative_controls(seed: int, cert, sample, chain, tol: Tolerance) -> list[L
     controls.append(LawReport.from_residual("control_scrambled_quotient", residual, tol))
 
     # perturbing the counit breaks the objectwise factorization
-    univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol)
+    univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol, l_t)
     residual = max_abs(univ.L - 1.01 * through_counit)
     controls.append(LawReport.from_residual("control_perturbed_counit", residual, tol))
 

@@ -6,13 +6,15 @@ products.  Every decomposition applies the same phase-fixing rule
 runs on the same input are bit-identical and downstream constructions are
 reproducible.
 
-There are two SVD kernels.  ``svd`` returns the full left basis U and serves
-only the callers that read U's orthogonal complement
+There are three SVD kernels.  ``svd`` returns the full left basis U and
+serves only the callers that read U's orthogonal complement
 (``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
 callers that need only a rank or a null space (``algebra.commutant``,
 ``dilation.is_minimal``, ``geometry.partial_isometry_report``); on a tall
-input U would be square in the row count.
+input U would be square in the row count.  ``singular_values`` returns only
+the values, for a whole stack of matrices in one call
+(``geometry.classify_partial_isometries``).
 """
 
 from __future__ import annotations
@@ -99,18 +101,22 @@ def linear_extension(coeffs, images) -> np.ndarray:
     """sum_alpha coeffs[alpha] images[alpha], summed over the leading axis.
 
     coeffs has shape (dim,) + c and images (dim,) + s; the result has shape
-    c + s.  The terms are added in basis order: accumulate never reorders,
-    whereas sum may add pairwise when the summed axis ends up innermost.
-    With the final + 0 (which only turns -0.0 into 0.0) the result equals,
-    bit for bit, the loop out = 0; out += coeffs[alpha] * images[alpha].
+    c + s.  Each output (each entry of c) is summed on its own, so only its
+    dim terms of shape s are held at once, never all dim * c of them.  The
+    terms are added in basis order: accumulate never reorders, whereas sum
+    may add pairwise when the summed axis ends up innermost.  With the final
+    + 0 (which only turns -0.0 into 0.0) the result equals, bit for bit, the
+    loop out = 0; out += coeffs[alpha] * images[alpha].
     """
     c = np.asarray(coeffs)
     p = np.asarray(images)
-    terms = c.reshape(c.shape + (1,) * (p.ndim - 1)) * p.reshape(
-        p.shape[:1] + (1,) * (c.ndim - 1) + p.shape[1:]
-    )
-    np.add.accumulate(terms, out=terms)
-    return terms[-1] + 0.0
+    columns = c.reshape(len(c), -1).T
+    out = np.empty((len(columns),) + p.shape[1:], dtype=np.result_type(c, p))
+    for j, column in enumerate(columns):
+        terms = column.reshape(column.shape + (1,) * (p.ndim - 1)) * p
+        np.add.accumulate(terms, out=terms)
+        out[j] = terms[-1]
+    return out.reshape(c.shape[1:] + p.shape[1:]) + 0.0
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -219,6 +225,15 @@ def right_singular(m):
         raise ConvergenceFailure(str(exc)) from exc
     v = dagger(vh)
     return s, v * _fix_phases(v)
+
+
+def singular_values(stack) -> np.ndarray:
+    """Singular values, descending, of each matrix of a stack, from one
+    stacked LAPACK call that forms no singular vectors."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def eye(n: int) -> np.ndarray:

@@ -32,9 +32,17 @@ def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-ish unitary from a QR decomposition with phase normalization."""
-    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return unitary_factor(complex_gaussian(rng, n, n))
+
+
+def unitary_factor(gaussians: np.ndarray) -> np.ndarray:
+    """Q of g = QR with column j rotated by the phase of R_jj, for one complex
+    Gaussian matrix g or for each matrix of a stack of them.  A stacked call
+    runs the same LAPACK routine per matrix and equals the one-at-a-time
+    calls bit for bit."""
+    q, r = np.linalg.qr(gaussians)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -6,7 +6,8 @@ basis convention ("block-major,row-major") so files are self-describing.
 Dumping uses sorted keys and repr-exact floats, so a fixed input always
 produces identical bytes and parse(serialize(x)) returns x bit-exactly.
 Sizes ("rows", "cols", "k", "h", "blocks") must be JSON integers; a float
-or a bool there is malformed input, never rounded.
+or a bool there is malformed input, never rounded.  Matrix entries must be
+JSON numbers; null, a bool or a string there is malformed input too.
 
 The document builders ``matrix_doc``, ``ocp_map_doc``, ``anchored_rep_doc``
 and ``certificate_doc`` leave each matrix's "entries" as its 2-D complex128
@@ -95,9 +96,12 @@ def decode_matrix(obj) -> np.ndarray:
         )
     if not (rows and cols):
         return np.zeros((rows, cols), dtype=np.complex128)
-    # the conversion reads null as NaN; only a NaN can hide one
-    if np.isnan(pairs).any() and None in chain.from_iterable(chain.from_iterable(entries)):
-        raise MalformedInput("bad matrix object: null entry")
+    # the conversion also reads null, bools and numeric strings; only a JSON
+    # number (int or float, a bool is not one) may be an entry
+    kinds = set(map(type, chain.from_iterable(chain.from_iterable(entries))))
+    if not kinds <= {int, float}:
+        names = ", ".join(sorted(k.__name__ for k in kinds - {int, float}))
+        raise MalformedInput(f"bad matrix object: entries of type {names} are not JSON numbers")
     return pairs.view(np.complex128).reshape(rows, cols)
 
 

@@ -683,7 +683,6 @@ _json_numbers = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -0.0, 5e-324, 1e16, -1e308]),
     st.integers(-(2**80), 2**80),
-    st.booleans(),
 )
 
 
@@ -707,6 +706,23 @@ def test_decode_matrix_equals_per_entry_reference(shape, data):
     assert got.tobytes() == expected.tobytes()  # bit for bit: -0.0 and NaN too
     parsed = loads(json.dumps(obj))
     assert decode_matrix(parsed).tobytes() == decode_matrix_per_entry(parsed).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    bad=st.sampled_from([True, False, None, "1e0", "1", "0"]),
+    data=st.data(),
+)
+def test_decode_matrix_rejects_entries_that_are_not_json_numbers(shape, bad, data):
+    """A bool, null or numeric string anywhere among the entries is
+    malformed, though numpy's float conversion reads each of them."""
+    rows, cols = shape
+    entries = [[[0.5, -1] for _ in range(cols)] for _ in range(rows)]
+    i, j, part = (data.draw(st.integers(0, n - 1)) for n in (rows, cols, 2))
+    entries[i][j][part] = bad
+    with pytest.raises(MalformedInput, match="not JSON numbers"):
+        decode_matrix({"rows": rows, "cols": cols, "entries": entries})
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from dilatory.errors import (
 )
 from dilatory.geometry import (
     _verify_purification,
+    classify_partial_isometries,
     connecting_morphism,
     extend_partial_isometry,
     is_extension,
@@ -94,6 +95,51 @@ def test_dual_definition_agreement_bulk():
             assert report.is_partial_isometry == report.restricted_isometry_ok
             count += 1
     assert count == 500
+
+
+_SAMPLE_KINDS = ("clean", "noisy", "scaled", "zero", "gaussian")
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.integers(1, 12), st.integers(1, 12), st.integers(0, 12), st.sampled_from(_SAMPLE_KINDS)
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_classification_matches_per_matrix_reports(specs, seed):
+    """The padded batch decides as the per-matrix reports do, on sides 1-12:
+    partial isometries of every rank (0 included), the zero matrix, noisy
+    and 1.01-scaled partial isometries and plain Gaussians."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for rows, cols, rank, kind in specs:
+        clean = random_partial_isometry(rng, rows, cols, min(rank, rows, cols))
+        matrices.append(
+            {
+                "clean": clean,
+                "noisy": clean + 1e-3 * rng.standard_normal((rows, cols)),
+                "scaled": 1.01 * clean,
+                "zero": np.zeros((rows, cols)),
+                "gaussian": complex_gaussian(rng, rows, cols),
+            }[kind]
+        )
+    residual, algebraic, restricted = classify_partial_isometries(matrices, TOL)
+    # the per-matrix report loop the batch replaced, kept as its reference
+    reports = [partial_isometry_report(m, TOL) for m in matrices]
+    assert algebraic.tolist() == [r.is_partial_isometry for r in reports]
+    assert restricted.tolist() == [r.restricted_isometry_ok for r in reports]
+    # padding and batching may move the residual's last bits, never more
+    np.testing.assert_allclose(residual, [r.residual for r in reports], rtol=1e-12, atol=1e-14)
+
+
+def test_batched_classification_of_no_matrices():
+    residual, algebraic, restricted = classify_partial_isometries([], TOL)
+    assert residual.shape == algebraic.shape == restricted.shape == (0,)
 
 
 def test_extension_reflexive_and_examples():

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from dilatory import dilation
+from dilatory import dilation, laws
 from dilatory.algebra import FdCStarAlgebra, identity_hom
 from dilatory.cpmap import OcpMap, pullback, tracial_map
 from dilatory.dilation import (
@@ -11,6 +11,7 @@ from dilatory.dilation import (
     RepMorphism,
     mediating_morphism,
     restrict,
+    stine_on_morphism,
     stinespring_dilate,
     universal_factorization,
 )
@@ -31,7 +32,7 @@ from dilatory.laws import (
     run_default_suite,
     _fake_unital_padding,
 )
-from dilatory.numerics import Tolerance, max_abs
+from dilatory.numerics import Tolerance, dagger, max_abs
 from dilatory.randgen import (
     inflate_rep,
     random_cp_map,
@@ -95,7 +96,8 @@ def test_naturality_positive_and_negative():
     cert_psi = stinespring_dilate(psi, TOL)
     target = inflate_rep(rng, cert_psi, [1])
     morphism = universal_factorization(x, phi, target, TOL, cert=cert)
-    certs = {"src_cert": cert, "dst_cert": cert_psi}
+    l_t = stine_on_morphism(x, phi, psi, TOL, src_cert=cert, dst_cert=cert_psi)
+    certs = {"src_cert": cert, "dst_cert": cert_psi, "l_t": l_t}
     report = check_naturality_m(morphism, cert.rep, target, TOL, **certs)
     assert report.passed
 
@@ -162,15 +164,19 @@ def test_dagger_entries():
 
 def test_objectwise_adjunction_positive():
     rng = rng_for(87, 0)
-    samples = []
+    samples, transports = [], []
     for _ in range(5):
         phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
         x = random_unitary(rng, 2)
         psi = OcpMap(phi.domain, 2, tuple(x @ m @ x.conj().T for m in phi.basis_images))
+        cert_phi = stinespring_dilate(phi, TOL)
         cert_psi = stinespring_dilate(psi, TOL)
         target = inflate_rep(rng, cert_psi, [1])
-        samples.append((x, stinespring_dilate(phi, TOL), target, cert_psi))
-    report = objectwise_adjunction_suite(samples, TOL)
+        samples.append((x, cert_phi, target, cert_psi))
+        transports.append(
+            stine_on_morphism(x, phi, psi, TOL, src_cert=cert_phi, dst_cert=cert_psi)
+        )
+    report = objectwise_adjunction_suite(samples, TOL, transports=transports)
     assert report.passed and report.max_residual <= 1e-9
 
 
@@ -217,10 +223,10 @@ def test_default_suite_ok_and_reproducible():
     )
 
 
-def test_default_suite_dilates_each_map_once(monkeypatch):
-    """One laws draw: 8 sampled or pulled-back maps, each dilated once; no
-    more than 7 homomorphism gates."""
-    counts = {"stinespring_dilate": 0, "check_star_hom": 0}
+def _count_calls(monkeypatch, names) -> dict:
+    """Count calls of the named dilation functions, wherever a dilatory
+    module imported them."""
+    counts = dict.fromkeys(names, 0)
     for name in counts:
         real = getattr(dilation, name)
 
@@ -231,9 +237,86 @@ def test_default_suite_dilates_each_map_once(monkeypatch):
         for module in list(sys.modules.values()):
             if module.__name__.startswith("dilatory") and getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_default_suite_dilates_each_map_once(monkeypatch):
+    """One laws draw: 8 sampled or pulled-back maps, each dilated once; no
+    more than 7 homomorphism gates."""
+    counts = _count_calls(monkeypatch, ("stinespring_dilate", "check_star_hom"))
     assert run_default_suite(seed=7, draws=1, tol=TOL).ok
     assert counts["stinespring_dilate"] == 8
     assert counts["check_star_hom"] <= 7
+
+
+def test_default_suite_transports_each_draw_once(monkeypatch):
+    """The naturality checks, the adjunction suite and draw 0's controls
+    share one L_T per draw."""
+    counts = _count_calls(monkeypatch, ("stine_on_morphism",))
+    assert run_default_suite(seed=7, draws=1, tol=TOL).ok
+    assert counts["stine_on_morphism"] == 1
+    assert run_default_suite(seed=8, draws=3, tol=TOL).ok
+    assert counts["stine_on_morphism"] == 1 + 3
+
+
+def per_draw_partial_isometry_samples(seed, draws):
+    # the one-draw-at-a-time sampler the stacked one replaced, kept as its reference
+    samples = []
+    for i in range(draws):
+        rng = rng_for(seed, i)
+        rows = int(rng.integers(1, 5))
+        cols = int(rng.integers(1, 5))
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        u = random_unitary(rng, rows)[:, :rank]
+        v = random_unitary(rng, cols)[:, :rank]
+        clean = u @ dagger(v)
+        noisy = clean + 1e-3 * (rng.standard_normal(clean.shape))
+        samples.append((rank, clean, noisy, int(rng.integers(1, 4))))
+    return samples
+
+
+@pytest.mark.parametrize("seed", [0, 7, 7001, 2**40 + 3])
+def test_stacked_partial_isometry_sampler_equals_per_draw(seed):
+    got = laws._partial_isometry_samples(seed, 80)
+    expected = per_draw_partial_isometry_samples(seed, 80)
+    assert len(got) == len(expected) == 80
+    for (rank, clean, noisy, m), (rank_r, clean_r, noisy_r, m_r) in zip(got, expected):
+        assert (rank, m) == (rank_r, m_r)
+        assert clean.shape == clean_r.shape and clean.tobytes() == clean_r.tobytes()
+        assert noisy.shape == noisy_r.shape and noisy.tobytes() == noisy_r.tobytes()
+
+
+def test_partial_isometry_suite_without_draws_runs_the_projection_pair(monkeypatch):
+    seen = []
+    real = laws.classify_partial_isometries
+
+    def spy(matrices, tol):
+        seen.append(list(matrices))
+        return real(matrices, tol)
+
+    monkeypatch.setattr(laws, "classify_partial_isometries", spy)
+    report = partial_isometry_suite(seed=3, draws=0, tol=TOL)
+    assert report.passed and report.witnesses == ()
+    assert len(seen) == 1 and len(seen[0]) == 1
+    assert np.array_equal(seen[0][0], 0.5 * np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_partial_isometry_suite_names_a_sabotaged_clean_sample(monkeypatch):
+    real = laws._partial_isometry_samples
+    samples = real(5, 12)
+    bad = next(i for i, (rank, *_) in enumerate(samples) if rank > 0)
+
+    def sabotaged(seed, draws):
+        out = real(seed, draws)
+        rank, clean, noisy, m = out[bad]
+        out[bad] = (rank, 1.01 * clean, noisy, m)
+        return out
+
+    assert partial_isometry_suite(seed=5, draws=12, tol=TOL).passed
+    monkeypatch.setattr(laws, "_partial_isometry_samples", sabotaged)
+    report = partial_isometry_suite(seed=5, draws=12, tol=TOL)
+    assert not report.passed and report.max_residual == 1.0
+    assert report.witnesses == (f"kron broke a partial isometry at draw {bad}",)
 
 
 def test_default_suite_zero_draws():

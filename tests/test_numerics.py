@@ -8,6 +8,7 @@ from dilatory.numerics import (
     as_matrix,
     hermitian_eig,
     kron,
+    linear_extension,
     max_abs,
     right_singular,
     svd,
@@ -232,3 +233,50 @@ def test_kron_bytes_equal_numpy_kron(shapes, real, seed):
     ref = np.kron(a.astype(np.complex128), b)
     assert out.dtype == ref.dtype and out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()
+
+
+_ENTRIES = [0.0, -0.0, 1.5, -2.25, 1e-300, 3.0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    dim=st.integers(1, 6),
+    c_shape=st.lists(st.integers(0, 3), max_size=2),
+    s_shape=st.lists(st.integers(0, 3), max_size=2),
+    complex_coeffs=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_linear_extension_equals_the_basis_order_loop(dim, c_shape, s_shape, complex_coeffs, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, complex_):
+        a = rng.choice(_ENTRIES, size=shape) * rng.standard_normal(shape).round()
+        return a + 1j * rng.choice(_ENTRIES, size=shape) if complex_ else a
+
+    coeffs = draw((dim, *c_shape), complex_coeffs)
+    images = draw((dim, *s_shape), True)
+    # the plain loop the docstring names, kept as the reference
+    ref = np.zeros((*c_shape, *s_shape), dtype=np.complex128)
+    for alpha in range(dim):
+        ref += np.multiply.outer(coeffs[alpha], images[alpha])
+    out = linear_extension(coeffs, images)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+def test_linear_extension_sums_one_output_at_a_time():
+    """Each of the s outputs is summed on its own, so the peak stays within
+    a few results, where all t * s terms at once would be t results."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    t, s, m = 16, 16, 24
+    coeffs = rng.standard_normal((t, s)) + 1j * rng.standard_normal((t, s))
+    images = rng.standard_normal((t, m, m)) + 1j * rng.standard_normal((t, m, m))
+    result_bytes = s * m * m * 16
+    tracemalloc.start()
+    try:
+        linear_extension(coeffs, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * result_bytes

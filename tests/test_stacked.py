@@ -167,6 +167,26 @@ def test_cli_rejects_non_finite_json_entries(tmp_path, capsys, bad):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ['"1e0"', "true", "false", "null"])
+def test_cli_rejects_json_entries_that_are_not_numbers(tmp_path, capsys, bad):
+    phi = random_cp_map(rng_for(11, 0), (2,), 2)
+    path = tmp_path / "phi.json"
+    path.write_text(_spoil(encode_ocp_map(phi), "basis_images", 1, bad))
+    assert main(["dilate", str(path)]) == 3
+    assert "not JSON numbers" in capsys.readouterr().err
+
+    _, _, rep1, rep2 = random_dilation_pair(rng_for(12, 0), (2,), 2, TOL, [1], [1])
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(encode_anchored_rep(rep2)))
+    for key, index in (("pi_images", 2), ("V", 0)):
+        spoiled = tmp_path / f"{key}.json"
+        spoiled.write_text(_spoil(encode_anchored_rep(rep1), key, index, bad))
+        assert main(["purify", str(spoiled), str(good)]) == 3
+        assert "not JSON numbers" in capsys.readouterr().err
+        assert main(["purify", str(good), str(spoiled)]) == 3
+        assert "not JSON numbers" in capsys.readouterr().err
+
+
 # --- the benchmark tracer's names --------------------------------------------
 
 
