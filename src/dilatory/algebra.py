@@ -16,7 +16,7 @@ set is solved block by block in the eigenbasis of one generic element.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -186,31 +186,30 @@ def unit_product_index(algebra: FdCStarAlgebra, alpha: int, beta: int):
     return algebra.basis_index(j1, a, d)
 
 
-def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
-    j, a, b = algebra._labels[alpha]
-    return algebra.basis_index(j, b, a)
-
-
 def boxplus_rep_images(algebra: FdCStarAlgebra, mults) -> np.ndarray:
     """Basis images of the representation a -> boxplus_j (a_j (x) 1_{c_j}).
 
-    Returned as one (dim, h, h) array, h = sum_j n_j c_j; E^{(j)}_{ab} sends
-    carrier row (j, b, rho) to (j, a, rho).  Blocks with c_j = 0 take no room.
+    Returned as one fresh (dim, h, h) array, h = sum_j n_j c_j; E^{(j)}_{ab}
+    sends carrier row (j, b, rho) to (j, a, rho).  Blocks with c_j = 0 take
+    no room.  The positions of the ones are built once per shape.
     """
-    mults = [int(c) for c in mults]
-    h = sum(n * c for n, c in zip(algebra.blocks, mults))
+    h, ones = _boxplus_ones(algebra.blocks, tuple(int(c) for c in mults))
     out = np.zeros((algebra.dim, h, h), dtype=np.complex128)
-    row = 0
-    for offset, n, c in zip(algebra._offsets, algebra.blocks, mults):
-        a, b, rho = np.ix_(range(n), range(n), range(c))
-        out[offset + a * n + b, row + a * c + rho, row + b * c + rho] = 1.0
-        row += n * c
+    out[ones] = 1.0
     return out
 
 
-def embed_element(a: AlgebraElement) -> np.ndarray:
-    """Block-diagonal embedding into M_N, N the ambient dimension."""
-    return numerics.block_diag(a.block_data)
+@lru_cache
+def _boxplus_ones(blocks: tuple[int, ...], mults: tuple[int, ...]):
+    """(h, (basis, row, col)) for boxplus_rep_images, as read-only index arrays."""
+    h = sum(n * c for n, c in zip(blocks, mults))
+    parts, offset, row = [], 0, 0
+    for n, c in zip(blocks, mults):
+        a, b, rho = np.ix_(range(n), range(n), range(c))
+        parts.append((offset + a * n + b, row + a * c + rho, row + b * c + rho))
+        offset += n * n
+        row += n * c
+    return h, numerics.frozen_index(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +345,13 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     all small (commuting generators, a cluster of nearly equal eigenvalues)
     are still weighed against the whole stack.  A stand-in at or below
     eps_rank * max ||S||_F is rounding (scalar generators), and every
-    block-diagonal Y commutes.  Both tests are invariant under rescaling
-    the generators.
+    block-diagonal Y commutes.  The cut itself never falls below
+    10 h eps max ||S||_F, the rounding with which the reduced system is
+    formed (||S||_2 <= ||S||_F): when the stack's top singular value is
+    under about 1e-7 of the generators' norm, eps_rank times it would
+    count rounding as rank (a conjugated diag(1, 1 + 1.8e-8) gave one
+    element instead of two).  All three tests are invariant under
+    rescaling the generators.
     """
     n = int(ambient_dim)
     gens = [as_matrix(g) for g in generators]
@@ -386,10 +390,13 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     centred = stack - (np.trace(stack, axis1=1, axis2=2) / n)[:, None, None] * numerics.eye(n)
     sing, v = numerics.right_singular(r)
     top = max(float(sing[0]), 2.0 * np.sqrt(np.sum(np.abs(centred) ** 2) / n))
-    if top <= tol.eps_rank * float(np.linalg.norm(stack, axis=(1, 2)).max()):
+    norm = float(np.linalg.norm(stack, axis=(1, 2)).max())
+    if top <= tol.eps_rank * norm:
         rank = 0
     else:
-        rank = int(np.count_nonzero(sing > tol.eps_rank * top))
+        # floored at the rounding of the reduced system (see the docstring)
+        cut = max(tol.eps_rank * top, 10.0 * n * np.finfo(np.float64).eps * norm)
+        rank = int(np.count_nonzero(sing > cut))
     y = np.zeros((unknowns - rank, n, n), dtype=np.complex128)
     y[:, rows, cols] = v[:, rank:].T
     return list(u @ y @ dagger(u))

@@ -7,10 +7,12 @@ laws, and the objectwise universal property of the adjunction.  Each checker
 takes the dilation certificates its law speaks about and returns a LawReport
 whose pass flag is equivalent to its residual being below eps_eq.  The default
 suite dilates each sampled map once, transports each sampled morphism once,
-and mixes positive ensembles with negative controls (draw 0's objects,
-sabotaged, that must fail loudly), so a tolerance bug cannot silently turn
-every check green.  The partial-isometry suite draws all its samples first
-and classifies every one of them in a single padded batch.
+gates each sampled homomorphism once and builds each mediating morphism once,
+handing them to the checkers' bodies, and mixes positive ensembles with
+negative controls (draw 0's objects, sabotaged, that must fail loudly), so a
+tolerance bug cannot silently turn every check green.  The partial-isometry
+suite draws all its samples first and classifies every one of them in a
+single padded batch.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .cpmap import (
     compose_morphisms,
     dagger_morphism,
     is_ocp_morphism,
-    pullback,
+    pullback_ungated,
     tracial_map,
 )
 from .dilation import (
@@ -106,8 +108,14 @@ def check_zigzag(
     morphism of the canonical dilation of phi must itself be the identity.
     """
     counit = mediating_morphism(rep, cert=cert)
-    first = max(is_rep_morphism(counit, cert.rep, rep, tol).residuals.values())
     self_med = mediating_morphism(cert.rep, cert=cert)
+    return _zigzag(phi, rep, tol, cert, counit, self_med)
+
+
+def _zigzag(phi, rep, tol, cert, counit, self_med) -> LawReport:
+    """check_zigzag on the counit of rep and the mediating morphism of
+    cert.rep, both already built."""
+    first = max(is_rep_morphism(counit, cert.rep, rep, tol).residuals.values())
     second = max_abs(self_med.L - numerics.eye(cert.rep.h))
     residual = max(first, second)
     return LawReport.from_residual(
@@ -127,7 +135,12 @@ def check_naturality_m(
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
     m_src = mediating_morphism(src, cert=src_cert)
     m_dst = mediating_morphism(dst, cert=dst_cert)
-    residual = max_abs(m_dst.L @ l_t.L - morphism.L @ m_src.L)
+    return _naturality(m_dst.L @ l_t.L, morphism, m_src, tol)
+
+
+def _naturality(through, morphism, m_src, tol) -> LawReport:
+    """The naturality square, with its first path m_dst L_T already built."""
+    residual = max_abs(through - morphism.L @ m_src.L)
     return LawReport.from_residual("naturality_m", residual, tol)
 
 
@@ -233,20 +246,20 @@ def objectwise_adjunction_suite(
     """
     reports = []
     for (t, cert_phi, target, cert_psi), l_t in zip(samples, transports, strict=True):
-        univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol, l_t)
-        residual = max_abs(univ.L - through_counit)
-        residual = max(residual, max_abs(univ.T - numerics.as_matrix(t)))
-        validity = is_rep_morphism(univ, cert_phi.rep, target, tol)
-        residual = max(residual, max(validity.residuals.values()))
-        reports.append(LawReport.from_residual("objectwise_adjunction", residual, tol))
+        univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
+        counit = mediating_morphism(target, cert=cert_psi)
+        reports.append(_adjunction(t, cert_phi, target, univ, counit.L @ l_t.L, tol))
     return merge_reports("objectwise_adjunction", reports)
 
 
-def _factorizations(t, cert_phi, target, cert_psi, tol, l_t):
-    """universal_factorization of T into the target, and m_target L_T."""
-    univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
-    counit = mediating_morphism(target, cert=cert_psi)
-    return univ, counit.L @ l_t.L
+def _adjunction(t, cert_phi, target, univ, through_counit, tol) -> LawReport:
+    """One sample of the universal property, given universal_factorization
+    of T into the target and m_target L_T."""
+    residual = max_abs(univ.L - through_counit)
+    residual = max(residual, max_abs(univ.T - numerics.as_matrix(t)))
+    validity = is_rep_morphism(univ, cert_phi.rep, target, tol)
+    residual = max(residual, max(validity.residuals.values()))
+    return LawReport.from_residual("objectwise_adjunction", residual, tol)
 
 
 def example_27():
@@ -448,8 +461,7 @@ def run_default_suite(
     modification = []
     oplax = []
     dagger_entries = []
-    adjunction_samples = []
-    transports = []
+    adjunction = []
 
     for i in range(draws):
         rng = rng_for(seed, i)
@@ -459,7 +471,9 @@ def run_default_suite(
         cert = stinespring_dilate(phi, tol)
         extra = [int(rng.integers(0, 2)) for _ in blocks]
         rep = inflate_rep(rng, cert, extra)
-        zigzag.append(check_zigzag(phi, rep, tol, cert=cert))
+        self_med = mediating_morphism(cert.rep, cert=cert)
+        counit = mediating_morphism(rep, cert=cert)
+        zigzag.append(_zigzag(phi, rep, tol, cert, counit, self_med))
 
         if i % 3 == 2:
             phi_m, psi_m, t_m = _tracial_sample(rng, max_dim)
@@ -469,32 +483,32 @@ def run_default_suite(
         extra_m = [int(rng.integers(0, 2)) for _ in phi_m.domain.blocks]
         cert_psi = stinespring_dilate(psi_m, tol)
         target = inflate_rep(rng, cert_psi, extra_m)
-        morphism = universal_factorization(t_m, phi_m, target, tol, cert=cert_m)
+        univ = universal_factorization(t_m, phi_m, target, tol, cert=cert_m)
         # a morphism between two inflated dilations, neither of them canonical:
         # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
         l_t = stine_on_morphism(t_m, phi_m, psi_m, tol, src_cert=cert_m, dst_cert=cert_psi)
+        m_canonical = mediating_morphism(cert_m.rep, cert=cert_m)
         m_src = mediating_morphism(src_inflated, cert=cert_m)
         m_dst = mediating_morphism(target, cert=cert_psi)
-        between = RepMorphism(l_t.T, m_dst.L @ l_t.L @ dagger(m_src.L))
-        adjunction_samples.append((t_m, cert_m, target, cert_psi))
-        transports.append(l_t)
+        # m_dst L_T: one path of both naturality squares, and the counit route
+        through = m_dst.L @ l_t.L
+        between = RepMorphism(l_t.T, through @ dagger(m_src.L))
+        adjunction.append(_adjunction(t_m, cert_m, target, univ, through, tol))
         dagger_entries.append(OcpMorphism(phi_m, psi_m, t_m))
-        for entry, src in ((morphism, cert_m.rep), (between, src_inflated)):
-            naturality.append(
-                check_naturality_m(
-                    entry, src, target, tol, src_cert=cert_m, dst_cert=cert_psi, l_t=l_t
-                )
-            )
+        # both entries are gated as morphisms by check_dagger
+        for entry, src, m in ((univ, cert_m.rep, m_canonical), (between, src_inflated, m_src)):
+            naturality.append(_naturality(through, entry, m, tol))
             dagger_entries.append((entry, src, target))
 
-        # hom-first sampling so unital embeddings always exist
+        # hom-first sampling so unital embeddings always exist; the pullbacks
+        # are ungated because check_modification and check_oplax gate each hom
         f = random_hom(rng, FdCStarAlgebra(_draw_blocks(rng, 2)), max_mult=1)
         phi_top = random_cp_map(rng, f.target.blocks, int(rng.integers(1, 3)), kraus_rank=2)
         cert_top = stinespring_dilate(phi_top, tol)
         extra_top = [int(rng.integers(0, 2)) for _ in f.target.blocks]
         rep_top = inflate_rep(rng, cert_top, extra_top)
-        pulled_top = stinespring_dilate(pullback(phi_top, f, tol), tol, check_cp=False)
+        pulled_top = stinespring_dilate(pullback_ungated(phi_top, f), tol, check_cp=False)
         modification.append(
             check_modification(f, rep_top, tol, cert=cert_top, pulled_cert=pulled_top)
         )
@@ -502,17 +516,18 @@ def run_default_suite(
         f_prime = random_hom(rng, FdCStarAlgebra(_draw_blocks(rng, 2)), max_mult=1)
         f_outer = random_hom(rng, f_prime.target, max_mult=1)
         phi_chain = random_cp_map(rng, f_outer.target.blocks, 1, kraus_rank=2)
-        phi_f = pullback(phi_chain, f_outer, tol)
+        phi_f = pullback_ungated(phi_chain, f_outer)
         certs = (
             stinespring_dilate(phi_chain, tol, check_cp=False),
             stinespring_dilate(phi_f, tol, check_cp=False),
-            stinespring_dilate(pullback(phi_f, f_prime, tol), tol, check_cp=False),
+            stinespring_dilate(pullback_ungated(phi_f, f_prime), tol, check_cp=False),
         )
         oplax.append(check_oplax(f_outer, f_prime, tol, certs=certs))
         if i == 0:
-            chain = (f_outer, f_prime, certs)
             controls = _negative_controls(
-                seed, cert, adjunction_samples[0], chain, tol, l_t=transports[0]
+                seed, tol, self_med=self_med, l_t=l_t, m_src=m_canonical,
+                cert_psi=cert_psi, univ=univ, through=through,
+                chain=(f_outer, f_prime, certs),
             )
 
     reports = [
@@ -521,7 +536,7 @@ def run_default_suite(
         merge_reports("modification", modification),
         merge_reports("oplax", oplax),
         check_dagger(dagger_entries, tol),
-        objectwise_adjunction_suite(adjunction_samples, tol, transports=transports),
+        merge_reports("objectwise_adjunction", adjunction),
         counterexample_suite(tol),
         partial_isometry_suite(seed, min(draws * 5, 500), tol),
     ]
@@ -529,25 +544,26 @@ def run_default_suite(
 
 
 def _negative_controls(
-    seed: int, cert, sample, chain, tol: Tolerance, *, l_t: RepMorphism
+    seed: int, tol: Tolerance, *, self_med, l_t, m_src, cert_psi, univ, through, chain
 ) -> list[LawReport]:
-    """Draw 0's zig-zag certificate, adjunction sample (with its transport
-    l_t) and oplax chain, each deliberately broken; every report must come
-    back failing."""
+    """Draw 0's objects, each deliberately broken; every report must come
+    back failing.  The arguments are what draw 0 already built: the
+    mediating morphism of its zig-zag certificate onto itself, the transport
+    L_T of its morphism sample with the mediating morphism of the source's
+    canonical dilation, the dilation cert_psi of the sample's target map, the
+    universal factorization with its counit route m_target L_T, and the
+    oplax chain (f, f', certs)."""
     controls = []
 
     # mediating morphism scaled off unity breaks the second zig-zag
-    med = mediating_morphism(cert.rep, cert=cert)
-    sabotage = max_abs(1.01 * med.L - numerics.eye(cert.rep.h))
+    sabotage = max_abs(1.01 * self_med.L - numerics.eye(len(self_med.L)))
     controls.append(LawReport.from_residual("control_sabotaged_mediating", sabotage, tol))
 
     # a random L is not natural
-    t, cert_phi, target, cert_psi = sample
     rng = rng_for(seed, 10_000)
     bad_l = l_t.L + 0.1 * numerics.as_matrix(
         rng.standard_normal(l_t.L.shape) + 1j * rng.standard_normal(l_t.L.shape)
     )
-    m_src = mediating_morphism(cert_phi.rep, cert=cert_phi)
     m_dst = mediating_morphism(cert_psi.rep, cert=cert_psi)
     residual = max_abs(m_dst.L @ l_t.L - bad_l @ m_src.L)
     controls.append(LawReport.from_residual("control_non_morphism_naturality", residual, tol))
@@ -561,8 +577,7 @@ def _negative_controls(
     controls.append(LawReport.from_residual("control_scrambled_quotient", residual, tol))
 
     # perturbing the counit breaks the objectwise factorization
-    univ, through_counit = _factorizations(t, cert_phi, target, cert_psi, tol, l_t)
-    residual = max_abs(univ.L - 1.01 * through_counit)
+    residual = max_abs(univ.L - 1.01 * through)
     controls.append(LawReport.from_residual("control_perturbed_counit", residual, tol))
 
     # the A -> A (+) tr(A)/2 padding is not multiplicative; the gate must say so

@@ -6,6 +6,16 @@ products.  Every decomposition applies the same phase-fixing rule
 runs on the same input are bit-identical and downstream constructions are
 reproducible.
 
+The phase rule runs on all columns at once and reproduces, bit for bit, the
+per-column scalar rule ``conj(z) / abs(z)`` it replaced, z the first entry
+of largest ``np.abs``.  Two details make that hold.  The modulus is
+``np.hypot(re, im)``: numpy's scalar ``abs`` of a complex number equals it,
+while the array ``np.abs`` differs from it in the last bit on about a third
+of all entries.  And numpy divides a complex scalar by a real one in Smith's
+form, as a complex divisor a + 0i: with r = 1 / a, the real part is
+``(re + im * 0) * r`` and the imaginary part ``(im - re * 0) * r`` (re, im
+those of conj(z)), which is also what keeps signed zeros the same.
+
 There are three SVD kernels.  ``svd`` returns the full left basis U and
 serves only the callers that read U's orthogonal complement
 (``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
@@ -119,6 +129,16 @@ def linear_extension(coeffs, images) -> np.ndarray:
     return out.reshape(c.shape[1:] + p.shape[1:]) + 0.0
 
 
+def frozen_index(parts) -> tuple[np.ndarray, ...]:
+    """One flat, read-only index array per axis, from per-block tuples of
+    broadcastable index arrays: the positions of a scatter cached by shape."""
+    flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
+    index = tuple(np.concatenate(axis) for axis in zip(*flat))
+    for axis in index:
+        axis.setflags(write=False)
+    return index
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
@@ -128,22 +148,26 @@ def max_abs(m) -> float:
     a = np.asarray(m)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _fix_phases(u: np.ndarray) -> np.ndarray:
     """Return the diagonal of unit phases that canonicalizes columns of u.
 
     For each column, the entry of largest modulus (first such row on ties) is
-    rotated to the positive real axis.  Zero columns are left alone.
+    rotated to the positive real axis.  Zero columns are left alone.  All
+    columns in one pass, with the scalar arithmetic of the module docstring.
     """
     phases = np.ones(u.shape[1], dtype=np.complex128)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        z = col[i]
-        if abs(z) > 0.0:
-            phases[j] = np.conj(z) / abs(z)
+    if u.size == 0:
+        return phases
+    z = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    re, im = z.real, -z.imag
+    modulus = np.hypot(re, im)
+    live = modulus > 0.0
+    r = 1.0 / np.where(live, modulus, 1.0)
+    phases.real[live] = ((re + im * 0.0) * r)[live]
+    phases.imag[live] = ((im - re * 0.0) * r)[live]
     return phases
 
 

@@ -9,6 +9,8 @@ positivity by construction.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import numerics
@@ -119,15 +121,23 @@ def hom_from_multiplicities(
     # column alpha of the coefficient matrix is f(E_alpha), block after block
     columns = []
     for row, size, u in zip(rows, target_blocks, unitaries):
-        # E_ab of source block j goes to 1_m (x) E_ab: carrier rows (j, copy, a)
         units = np.zeros((source.dim, size, size), dtype=np.complex128)
-        start = 0
-        for offset, n, m in zip(source._offsets, source.blocks, row):
-            rho, a, b = np.ix_(range(m), range(n), range(n))
-            units[offset + a * n + b, start + rho * n + a, start + rho * n + b] = 1.0
-            start += n * m
+        units[_copies_ones(source.blocks, tuple(row))] = 1.0
         columns.append((u @ units @ dagger(u)).reshape(source.dim, -1))
     return StarHom(source, target, np.concatenate(columns, axis=1).T)
+
+
+@lru_cache
+def _copies_ones(blocks: tuple[int, ...], row: tuple[int, ...]):
+    """(basis, row, col) of the ones of E_ab -> 1_m (x) E_ab, as read-only
+    index arrays: source block j's copies sit at carrier rows (j, copy, a)."""
+    parts, offset, start = [], 0, 0
+    for n, m in zip(blocks, row):
+        rho, a, b = np.ix_(range(m), range(n), range(n))
+        parts.append((offset + a * n + b, start + rho * n + a, start + rho * n + b))
+        offset += n * n
+        start += n * m
+    return numerics.frozen_index(parts)
 
 
 def random_hom(rng: np.random.Generator, source: FdCStarAlgebra, max_mult: int = 2) -> StarHom:

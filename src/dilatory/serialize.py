@@ -39,7 +39,7 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
+from .algebra import FdCStarAlgebra
 from .cpmap import OcpMap
 from .dilation import AnchoredRep, DilationCertificate
 from .errors import MalformedInput
@@ -156,45 +156,6 @@ def decode_ocp_map(obj) -> OcpMap:
         raise
     except Exception as exc:
         raise MalformedInput(f"bad OCP map object: {exc}") from exc
-
-
-def encode_element(a: AlgebraElement) -> list:
-    return [encode_matrix(b) for b in a.block_data]
-
-
-def decode_element(algebra: FdCStarAlgebra, obj) -> AlgebraElement:
-    try:
-        return AlgebraElement(algebra, tuple(decode_matrix(b) for b in obj))
-    except MalformedInput:
-        raise
-    except Exception as exc:
-        raise MalformedInput(f"bad algebra element: {exc}") from exc
-
-
-def encode_star_hom(f: StarHom) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "star_hom",
-        "basis_order": BASIS_ORDER,
-        "source": encode_algebra(f.source),
-        "target": encode_algebra(f.target),
-        "basis_images": [
-            encode_element(element_from_coefficients(f.target, c)) for c in f.matrix.T
-        ],
-    }
-
-
-def decode_star_hom(obj) -> StarHom:
-    _expect_kind(obj, "star_hom")
-    try:
-        source = decode_algebra(obj["source"])
-        target = decode_algebra(obj["target"])
-        images = tuple(decode_element(target, img) for img in obj["basis_images"])
-        return StarHom(source, target, images)
-    except MalformedInput:
-        raise
-    except Exception as exc:
-        raise MalformedInput(f"bad star hom object: {exc}") from exc
 
 
 def anchored_rep_doc(rep: AnchoredRep) -> dict:

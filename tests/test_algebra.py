@@ -12,17 +12,17 @@ from dilatory.algebra import (
     commutant,
     compose_homs,
     element_from_coefficients,
-    embed_element,
     identity_hom,
     matrix_units,
     unit_product_index,
-    unit_star_index,
 )
+from dilatory import algebra as algebra_module, randgen
 from dilatory.dilation import stinespring_dilate
 from dilatory.errors import ShapeMismatch
 from dilatory.numerics import Tolerance, block_diag, kron, max_abs
 from dilatory.randgen import (
     boxplus_rep_images,
+    hom_from_multiplicities,
     inflate_rep,
     random_cp_map,
     random_unitary,
@@ -30,6 +30,17 @@ from dilatory.randgen import (
 )
 
 TOL = Tolerance()
+
+
+def embed_element(a: AlgebraElement) -> np.ndarray:
+    """Block-diagonal embedding into M_N, N the ambient dimension."""
+    return block_diag(a.block_data)
+
+
+def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
+    """Index of the adjoint of matrix unit alpha: E_ab* = E_ba."""
+    j, a, b = algebra.basis_labels()[alpha]
+    return algebra.basis_index(j, b, a)
 
 
 def test_algebra_dimensions():
@@ -407,3 +418,86 @@ def test_commutant_of_4_4_at_h24_is_small():
     assert peak < 100 * 2**20
     for x in basis:
         assert max_abs(x @ rep.pi_images - rep.pi_images @ x) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_commutant_counts_a_split_below_the_relative_cut(seed):
+    # eigenvalues 1 and 1 + 1.8e-8: the commutator stack's singular values
+    # are about 2.5e-8 and 1e-17, and eps_rank times the first, 2.5e-17,
+    # would count the rounding as rank; the cut's floor at the rounding of
+    # the generator does not, so the commutant keeps both eigenprojections
+    x = random_unitary(np.random.default_rng(seed), 2)
+    g = x @ np.diag([1.0, 1.0 + 1.8e-8]) @ x.conj().T
+    basis = commutant([g], 2, TOL)
+    assert len(basis) == 2
+    cols = np.stack([b.reshape(-1) for b in basis], axis=1)
+    assert max_abs(cols.conj().T @ cols - np.eye(2)) <= 1e-13
+    for b in basis:
+        assert max_abs(b @ g - g @ b) <= 1e-13
+    # eigenvectors across a gap of 1.8e-8 are good to about eps / 1.8e-8
+    for i in range(2):
+        p = np.outer(x[:, i], x[:, i].conj()).reshape(-1)
+        assert max_abs(cols @ (cols.conj().T @ p) - p) <= 1e-6
+
+
+def boxplus_reference(algebra, mults):
+    """boxplus_rep_images as it was built before its index cache: one np.ix_
+    scatter per block."""
+    h = sum(n * c for n, c in zip(algebra.blocks, mults))
+    out = np.zeros((algebra.dim, h, h), dtype=np.complex128)
+    row = 0
+    for j, (n, c) in enumerate(zip(algebra.blocks, mults)):
+        offset = algebra.basis_index(j, 0, 0)
+        a, b, rho = np.ix_(range(n), range(n), range(c))
+        out[offset + a * n + b, row + a * c + rho, row + b * c + rho] = 1.0
+        row += n * c
+    return out
+
+
+def copies_reference(source, row):
+    """The units of hom_from_multiplicities' target block before its index
+    cache: E_ab of source block j at 1_m (x) E_ab, one np.ix_ per block."""
+    size = sum(m * n for m, n in zip(row, source.blocks))
+    units = np.zeros((source.dim, size, size), dtype=np.complex128)
+    start = 0
+    for j, (n, m) in enumerate(zip(source.blocks, row)):
+        offset = source.basis_index(j, 0, 0)
+        rho, a, b = np.ix_(range(m), range(n), range(n))
+        units[offset + a * n + b, start + rho * n + a, start + rho * n + b] = 1.0
+        start += n * m
+    return units
+
+
+@pytest.mark.parametrize(
+    "blocks, mults",
+    [((2, 1, 3), (1, 0, 2)), ((2, 1, 3), (0, 0, 0)), ((1,), (4,)), ((3, 2), (2, 2))],
+)
+def test_boxplus_rep_images_are_fresh_and_equal_the_per_block_scatter(blocks, mults):
+    algebra = FdCStarAlgebra(blocks)
+    first = boxplus_rep_images(algebra, mults)
+    expected = boxplus_reference(algebra, mults)
+    assert first.flags.writeable and first.tobytes() == expected.tobytes()
+    first[...] = 7.0
+    again = boxplus_rep_images(algebra, list(mults))
+    assert again.shape == expected.shape and again.tobytes() == expected.tobytes()
+    h, ones = algebra_module._boxplus_ones(algebra.blocks, tuple(mults))
+    assert h == expected.shape[1] and not any(axis.flags.writeable for axis in ones)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hom_from_multiplicities_equals_the_per_block_scatter(seed):
+    rng = np.random.default_rng(seed)
+    source = FdCStarAlgebra((1, 2))
+    rows = [[1, 1], [2, 0], [0, 2]]
+    unitaries = [random_unitary(rng, m + 2 * n) for m, n in rows]
+    for _ in range(2):
+        f = hom_from_multiplicities(source, rows, unitaries)
+        columns = [
+            (u @ copies_reference(source, row) @ u.conj().T).reshape(source.dim, -1)
+            for row, u in zip(rows, unitaries)
+        ]
+        expected = np.concatenate(columns, axis=1).T
+        assert f.matrix.tobytes() == expected.tobytes()
+        f.matrix[...] = 0.0
+    ones = randgen._copies_ones(source.blocks, (2, 0))
+    assert not any(axis.flags.writeable for axis in ones)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilatory.algebra import FdCStarAlgebra
+from dilatory.algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
 from dilatory.cli import main
 from dilatory.cpmap import OcpMap, is_completely_positive, is_unital, tracial_map
 from dilatory.dilation import stinespring_dilate
@@ -19,18 +19,18 @@ from dilatory.randgen import (
     rng_for,
 )
 from dilatory.serialize import (
+    BASIS_ORDER,
     SCHEMA,
     decode_algebra,
     decode_anchored_rep,
     decode_matrix,
     decode_ocp_map,
-    decode_star_hom,
     dumps,
+    encode_algebra,
     encode_anchored_rep,
     encode_certificate,
     encode_matrix,
     encode_ocp_map,
-    encode_star_hom,
     encode_tolerance,
     loads,
     matrix_doc,
@@ -76,6 +76,33 @@ def test_anchored_rep_roundtrip_bit_exact():
     again = decode_anchored_rep(loads(text))
     assert np.array_equal(again.V, cert.rep.V)
     assert dumps(encode_anchored_rep(again)) == text
+
+
+def encode_star_hom(f: StarHom) -> dict:
+    """A star_hom document, each image a list of block matrices.  No CLI
+    command reads or writes one; the codec lives here as a round-trip check
+    of the public matrix and algebra codecs."""
+    return {
+        "schema": SCHEMA,
+        "kind": "star_hom",
+        "basis_order": BASIS_ORDER,
+        "source": encode_algebra(f.source),
+        "target": encode_algebra(f.target),
+        "basis_images": [
+            [encode_matrix(b) for b in element_from_coefficients(f.target, c).block_data]
+            for c in f.matrix.T
+        ],
+    }
+
+
+def decode_star_hom(obj) -> StarHom:
+    assert obj["schema"] == SCHEMA and obj["kind"] == "star_hom"
+    target = decode_algebra(obj["target"])
+    images = tuple(
+        AlgebraElement(target, tuple(decode_matrix(b) for b in img))
+        for img in obj["basis_images"]
+    )
+    return StarHom(decode_algebra(obj["source"]), target, images)
 
 
 def test_star_hom_roundtrip():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilatory.algebra import AlgebraElement, FdCStarAlgebra, matrix_units, unit_star_index
+from dilatory.algebra import AlgebraElement, FdCStarAlgebra, matrix_units
 from dilatory.cpmap import (
     OcpMap,
     OcpMorphism,
@@ -29,6 +29,12 @@ from dilatory.numerics import Tolerance, hermitian_eig, max_abs
 from dilatory.randgen import random_cp_map, random_hom, random_unitary, rng_for
 
 TOL = Tolerance()
+
+
+def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
+    """Index of the adjoint of matrix unit alpha: E_ab* = E_ba."""
+    j, a, b = algebra.basis_labels()[alpha]
+    return algebra.basis_index(j, b, a)
 
 
 def rank_psd(m, tol):

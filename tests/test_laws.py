@@ -249,6 +249,27 @@ def test_default_suite_dilates_each_map_once(monkeypatch):
     assert counts["check_star_hom"] <= 7
 
 
+def test_default_suite_builds_each_construction_once(monkeypatch):
+    """One laws draw gates each of its four homs once (f, f_outer, f' and
+    the padding control), builds each of its 8 distinct mediating morphisms
+    once and its universal factorization once."""
+    gated = []
+    real_gate = laws.check_star_hom
+
+    def gate(f, tol):
+        gated.append(f)
+        return real_gate(f, tol)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("dilatory") and getattr(module, "check_star_hom", None) is real_gate:
+            monkeypatch.setattr(module, "check_star_hom", gate)
+    counts = _count_calls(monkeypatch, ("mediating_morphism", "universal_factorization"))
+    assert run_default_suite(seed=7, draws=1, tol=TOL).ok
+    assert len(gated) == len({id(f) for f in gated}) == 4
+    assert gated[-1].target.blocks == (2, 3)  # the padding control
+    assert counts == {"mediating_morphism": 8, "universal_factorization": 1}
+
+
 def test_default_suite_transports_each_draw_once(monkeypatch):
     """The naturality checks, the adjunction suite and draw 0's controls
     share one L_T per draw."""

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dilatory.errors import NotHermitian, ShapeMismatch
 from dilatory.numerics import (
     Tolerance,
+    _fix_phases,
     as_matrix,
     hermitian_eig,
     kron,
@@ -280,3 +281,58 @@ def test_linear_extension_sums_one_output_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * result_bytes
+
+
+def fix_phases_loop(u):
+    """The per-column phase rule _fix_phases replaced, kept as its reference:
+    conj(z) / abs(z) in numpy scalar arithmetic, z the first entry of
+    largest np.abs in the column; a zero column keeps phase 1."""
+    phases = np.ones(u.shape[1], dtype=np.complex128)
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        z = col[int(np.argmax(np.abs(col)))]
+        if abs(z) > 0.0:
+            phases[j] = np.conj(z) / abs(z)
+    return phases
+
+
+# entries that make ties, signed zeros, real negative and purely imaginary maxima
+_PHASE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -3.0]
+
+
+@st.composite
+def phase_inputs(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["eigenvectors", "gaussian", "lattice", "axes"]))
+    if kind == "eigenvectors":
+        w, u = np.linalg.eigh(random_hermitian(rng, rows))
+        u = u[:, np.argsort(-w, kind="stable")]
+    elif kind == "gaussian":
+        u = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    elif kind == "lattice":
+        # equal moduli in one column (ties), and both zeros in both parts
+        pick = rng.integers(0, len(_PHASE_ENTRIES), (2, rows, cols))
+        u = np.empty((rows, cols), dtype=np.complex128)
+        u.real = np.take(_PHASE_ENTRIES, pick[0])
+        u.imag = np.take(_PHASE_ENTRIES, pick[1])
+    else:
+        # each column's largest entry real negative, purely imaginary or zero
+        u = 0.1 * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+        top = rng.integers(0, rows, cols)
+        u[top, np.arange(cols)] = np.choose(
+            rng.integers(0, 3, cols), [-2.0 + 0j, 2j * rng.choice([-1, 1], cols), 0j]
+        )
+    zero = draw(st.lists(st.integers(0, u.shape[1] - 1), max_size=2))
+    u[:, zero] = draw(st.sampled_from([0.0, -0.0, complex(-0.0, -0.0)]))
+    return u
+
+
+@settings(deadline=None, max_examples=400)
+@given(phase_inputs(), st.booleans())
+def test_stacked_phase_fix_equals_the_scalar_loop_bit_for_bit(u, strided):
+    if strided:
+        u = np.asfortranarray(u)[:, ::-1]
+    got, expected = _fix_phases(u), fix_phases_loop(u)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()

@@ -24,10 +24,8 @@ from dilatory.algebra import (
     check_star_hom,
     compose_homs,
     element_from_coefficients,
-    embed_element,
     representation_hom,
     unit_product_index,
-    unit_star_index,
 )
 from dilatory.cli import main
 from dilatory.cpmap import (
@@ -53,7 +51,7 @@ from dilatory.dilation import (
 from dilatory.errors import ShapeMismatch
 from dilatory.geometry import purification_residuals
 from dilatory.laws import _fake_unital_padding
-from dilatory.numerics import Tolerance, dagger, max_abs
+from dilatory.numerics import Tolerance, block_diag, dagger, max_abs
 from dilatory.randgen import (
     complex_gaussian,
     inflate_rep,
@@ -66,6 +64,17 @@ from dilatory.randgen import (
 from dilatory.serialize import encode_anchored_rep, encode_ocp_map
 
 TOL = Tolerance()
+
+
+def embed_element(a: AlgebraElement) -> np.ndarray:
+    """Block-diagonal embedding into M_N, N the ambient dimension."""
+    return block_diag(a.block_data)
+
+
+def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
+    """Index of the adjoint of matrix unit alpha: E_ab* = E_ba."""
+    j, a, b = algebra.basis_labels()[alpha]
+    return algebra.basis_index(j, b, a)
 BAD = [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 0.0)]
 M2 = FdCStarAlgebra((2,))
 
