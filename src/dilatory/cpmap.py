@@ -125,12 +125,10 @@ def tracial_map(m: int, p: int) -> OcpMap:
     return OcpMap(FdCStarAlgebra((m,)), p, weights[:, None, None] * numerics.eye(p))
 
 
-def ad_map(t, domain_dim: int) -> OcpMap:
-    """The adjoint action A -> T A T* from M_n to B(C^rows(T))."""
+def ad_map(t) -> OcpMap:
+    """The adjoint action A -> T A T* from M_n to B(C^rows(T)), n = cols(T)."""
     mat = as_matrix(t)
-    n = int(domain_dim)
-    if mat.shape[1] != n:
-        raise ShapeMismatch(f"T has {mat.shape[1]} columns, domain is M_{n}")
+    n = mat.shape[1]
     units = numerics.eye(n * n).reshape(n * n, n, n)
     return OcpMap(FdCStarAlgebra((n,)), mat.shape[0], mat @ units @ dagger(mat))
 

@@ -27,8 +27,10 @@ a *-homomorphism) is one stacked product or one linear extension.
 Morphisms of CP maps transport along the construction (L_T), algebra maps
 induce comparison isometries between dilations (L_f), and every other
 dilation of the same map receives a canonical mediating isometry from the
-minimal one (m).  Each is span columns times Q+ of its source; these are the
-raw ingredients of the adjunction laws checked in the laws module.
+minimal one (m).  Each is span columns times Q+ of its source, and each is
+fixed by a morphism and the certificates at its two ends: a certificate
+holds the map it dilates, so no transport takes that map separately.  These
+are the raw ingredients of the adjunction laws checked in the laws module.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ class DilationCertificate:
 
     Q, read off rep, maps A (x) C^k coordinates onto the d-dimensional
     quotient and satisfies Q Q+ = I and Q* Q = Gram matrix; the full Gram
-    spectrum and the tolerance are kept so the rank decision can be audited.
+    spectrum (descending) and the tolerance are kept so the rank decision can
+    be audited.
     """
 
     rep: AnchoredRep
@@ -156,8 +159,14 @@ class DilationCertificate:
     q_pinv: np.ndarray
     gram_eigenvalues: np.ndarray
     tol: Tolerance
-    rank_unstable: bool
     residuals: dict = field(default_factory=dict)
+
+    @property
+    def rank_unstable(self) -> bool:
+        """Whether a Gram eigenvalue lies within a factor of 10 of the cutoff."""
+        spectrum = self.gram_eigenvalues
+        cut = self.tol.eps_rank * float(spectrum[0])
+        return bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))
 
     @property
     def Q(self) -> np.ndarray:
@@ -235,7 +244,6 @@ def stinespring_dilate(
     if lam_max <= 0.0:
         raise DegenerateDimension("Gram matrix vanishes; the zero map has no dilation here")
     cut = tol.eps_rank * lam_max
-    rank_unstable = bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))
 
     ranks, q_pinv_blocks, v_blocks = [], [], []
     leakage = 0.0
@@ -260,7 +268,6 @@ def stinespring_dilate(
         q_pinv=numerics.block_diag(q_pinv_blocks),
         gram_eigenvalues=spectrum,
         tol=tol,
-        rank_unstable=rank_unstable,
         residuals={"restriction": restriction, "leakage": leakage},
     )
 
@@ -271,22 +278,17 @@ def restrict(rep: AnchoredRep) -> OcpMap:
 
 
 def stine_on_morphism(
-    t,
-    phi: OcpMap,
-    psi: OcpMap,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    src_cert: DilationCertificate,
-    dst_cert: DilationCertificate,
+    t, tol: Tolerance = DEFAULT_TOL, *, src_cert: DilationCertificate, dst_cert: DilationCertificate
 ) -> RepMorphism:
     """Transport a morphism T of CP maps to (T, L_T) between the dilations.
 
-    L_T compresses id_A (x) T to the quotients, as span columns at the anchor
-    W T times Q+ (W and Q+ from dst_cert and src_cert, the dilations of psi
-    and phi); it is an isometry whenever T is, and is functorial.
+    T must be a morphism from the map src_cert dilates to the map dst_cert
+    dilates.  L_T compresses id_A (x) T to the quotients, as span columns at
+    the anchor W T times Q+ (W from dst_cert, Q+ from src_cert); it is an
+    isometry whenever T is, and is functorial.
     """
     mat = as_matrix(t)
-    ok, res = is_ocp_morphism(mat, phi, psi, tol)
+    ok, res = is_ocp_morphism(mat, src_cert.source, dst_cert.source, tol)
     if not ok:
         raise NotMorphism(f"T is not a morphism of CP maps; residual {res:.3e}")
     l_t = _span_columns(dst_cert.rep, dst_cert.rep.V @ mat) @ src_cert.q_pinv
@@ -302,22 +304,20 @@ def pullback_rep(rep: AnchoredRep, f: StarHom) -> AnchoredRep:
 
 
 def stine_f(
-    phi: OcpMap,
-    f: StarHom,
-    *,
-    cert: DilationCertificate,
-    pulled_cert: DilationCertificate,
+    f: StarHom, *, cert: DilationCertificate, pulled_cert: DilationCertificate
 ) -> RepMorphism:
-    """Comparison isometry (id_K, L_f) from the dilation of phi o f.
+    """Comparison isometry (id_K, L_f) from the dilation of phi o f, for phi
+    the map cert dilates and pulled_cert the dilation of phi o f.
 
     L_f compresses f (x) id_K between the two quotients (f on the basis axis
     of Q, times Q+); it lands in the pullback along f of the dilation of phi
     and satisfies the oplax composition law L_{f o f'} = L_f L_{f'}.  f is
     not gated here: the pullback that pulled_cert dilates gates it.
     """
-    q = cert.Q.reshape(cert.dimension, -1, phi.k)
+    k = cert.rep.k
+    q = cert.Q.reshape(cert.dimension, -1, k)
     l_f = (f.matrix.T @ q).reshape(cert.dimension, -1) @ pulled_cert.q_pinv
-    return RepMorphism(numerics.eye(phi.k), l_f)
+    return RepMorphism(numerics.eye(k), l_f)
 
 
 def _span_columns(rep: AnchoredRep, anchor: np.ndarray | None = None) -> np.ndarray:
@@ -340,21 +340,16 @@ def mediating_morphism(rep: AnchoredRep, *, cert: DilationCertificate) -> RepMor
 
 
 def universal_factorization(
-    t,
-    phi: OcpMap,
-    target: AnchoredRep,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    cert: DilationCertificate,
+    t, target: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *, cert: DilationCertificate
 ) -> RepMorphism:
-    """The unique morphism out of the canonical dilation restricting to T.
+    """The unique morphism out of the canonical dilation ``cert`` restricting
+    to T, for T a morphism from the map cert dilates to restrict(target).
 
     Realizes the class of sum a_i (x) v_i going to sum rho(a_i) W T v_i,
     which is exactly the mediating morphism of the target composed with L_T.
     """
     mat = as_matrix(t)
-    psi = restrict(target)
-    ok, res = is_ocp_morphism(mat, phi, psi, tol)
+    ok, res = is_ocp_morphism(mat, cert.source, restrict(target), tol)
     if not ok:
         raise NotMorphism(
             f"T is not a morphism into the restriction of the target; residual {res:.3e}"

@@ -250,11 +250,11 @@ def connecting_morphism(
 
 
 def _purify_pipeline(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance):
-    """Normal forms, connecting morphism, and per-block tensor factors."""
+    """Normal forms and the per-block tensor factors of the connecting
+    morphism."""
     c1, r = normal_form_general_rep(rep1.pi_images, rep1.algebra, tol)
     c2, s = normal_form_general_rep(rep2.pi_images, rep2.algebra, tol)
-    link = connecting_morphism(rep1, rep2, tol)
-    o = s @ link.L @ dagger(r)
+    o = s @ connecting_morphism(rep1, rep2, tol).L @ dagger(r)
     factors = []
     row = col = 0
     for n, cj, dj in zip(rep1.algebra.blocks, c1, c2):
@@ -266,7 +266,7 @@ def _purify_pipeline(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance):
             factors.append(tensor_factor_extract(block, n, tol))
         row += rows_j
         col += cols_j
-    return c1, c2, r, s, link, factors
+    return c1, c2, r, s, factors
 
 
 def _assemble(rep_blocks, mults1, mults2, r, s, extensions) -> np.ndarray:
@@ -290,7 +290,7 @@ def purify_unitary(
     the deterministic completion, so callers should assert its properties
     rather than its entries.
     """
-    c1, c2, r, s, _, factors = _purify_pipeline(rep1, rep2, tol)
+    c1, c2, r, s, factors = _purify_pipeline(rep1, rep2, tol)
     if c1 != c2:
         raise NotEquivalent(
             f"multiplicity vectors {c1} and {c2} differ; use purify_partial"
@@ -312,7 +312,7 @@ def purify_partial(
     extension order.  Returns (U, label) with label one of "unitary",
     "isometry", "co-isometry", "mixed".
     """
-    c1, c2, r, s, _, factors = _purify_pipeline(rep1, rep2, tol)
+    c1, c2, r, s, factors = _purify_pipeline(rep1, rep2, tol)
     extensions = [extend_partial_isometry(p, tol) for p in factors]
     u = _assemble(rep1.algebra.blocks, c1, c2, r, s, extensions)
     _verify_purification(u, rep1, rep2, tol, require_unitary=False)

@@ -4,7 +4,8 @@ Everything 2-categorical is checked by evaluation at concrete algebras, maps,
 and homomorphisms: the zig-zag identities, naturality of the mediating
 morphism, the comparison triangle for algebra maps, oplax composition, dagger
 laws, and the objectwise universal property of the adjunction.  Each checker
-takes the dilation certificates its law speaks about and returns a LawReport
+takes the dilation certificates its law speaks about, reads the dilated maps
+off them and builds the transports it needs itself, and returns a LawReport
 whose pass flag is equivalent to its residual being below eps_eq.  The default
 suite dilates each sampled map once, transports each sampled morphism once,
 gates each sampled homomorphism once and builds each mediating morphism once,
@@ -99,25 +100,27 @@ def merge_reports(name: str, reports) -> LawReport:
 
 
 def check_zigzag(
-    phi: OcpMap, rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *, cert: DilationCertificate
+    rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *, cert: DilationCertificate
 ) -> LawReport:
     """Both triangle identities of the adjunction at one object pair.
 
     The counit m of rep, read off cert, must be a morphism of anchored
     representations from the canonical dilation to rep, and the mediating
-    morphism of the canonical dilation of phi must itself be the identity.
+    morphism of cert, the canonical dilation of phi, must itself be the
+    identity.
     """
     counit = mediating_morphism(rep, cert=cert)
     self_med = mediating_morphism(cert.rep, cert=cert)
-    return _zigzag(phi, rep, tol, cert, counit, self_med)
+    return _zigzag(rep, tol, cert, counit, self_med)
 
 
-def _zigzag(phi, rep, tol, cert, counit, self_med) -> LawReport:
+def _zigzag(rep, tol, cert, counit, self_med) -> LawReport:
     """check_zigzag on the counit of rep and the mediating morphism of
     cert.rep, both already built."""
     first = max(is_rep_morphism(counit, cert.rep, rep, tol).residuals.values())
     second = max_abs(self_med.L - numerics.eye(cert.rep.h))
     residual = max(first, second)
+    phi = cert.source
     return LawReport.from_residual(
         "zigzag", residual, tol, f"phi on {phi.domain.blocks}, k={phi.k}"
     )
@@ -125,14 +128,15 @@ def _zigzag(phi, rep, tol, cert, counit, self_med) -> LawReport:
 
 def check_naturality_m(
     morphism: RepMorphism, src: AnchoredRep, dst: AnchoredRep, tol: Tolerance = DEFAULT_TOL, *,
-    src_cert: DilationCertificate, dst_cert: DilationCertificate, l_t: RepMorphism,
+    src_cert: DilationCertificate, dst_cert: DilationCertificate,
 ) -> LawReport:
     """Naturality square of m: m_dst after L_T equals L after m_src, with
     src_cert and dst_cert the canonical dilations of the two restrictions
-    and l_t the transport (T, L_T) of morphism.T between them."""
+    and L_T the transport of morphism.T between them."""
     report = is_rep_morphism(morphism, src, dst, tol)
     if not report.ok:
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
+    l_t = stine_on_morphism(morphism.T, tol, src_cert=src_cert, dst_cert=dst_cert)
     m_src = mediating_morphism(src, cert=src_cert)
     m_dst = mediating_morphism(dst, cert=dst_cert)
     return _naturality(m_dst.L @ l_t.L, morphism, m_src, tol)
@@ -154,7 +158,7 @@ def check_modification(
     hom_report = check_star_hom(f, tol)
     if not hom_report.ok:
         raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
-    l_f = stine_f(cert.source, f, cert=cert, pulled_cert=pulled_cert)
+    l_f = stine_f(f, cert=cert, pulled_cert=pulled_cert)
     m_pulled = mediating_morphism(pullback_rep(rep, f), cert=pulled_cert)
     m_orig = mediating_morphism(rep, cert=cert)
     residual = max_abs(m_pulled.L - m_orig.L @ l_f.L)
@@ -173,7 +177,7 @@ def check_oplax(
         if not hom_report.ok:
             raise InvalidHom(f"not a *-homomorphism: {hom_report.residuals}")
     cert = certs[0]
-    l_id = stine_f(cert.source, identity_hom(cert.source.domain), cert=cert, pulled_cert=cert)
+    l_id = stine_f(identity_hom(cert.source.domain), cert=cert, pulled_cert=cert)
     residual = max(
         _composition_residual(f, f_prime, certs),
         max_abs(l_id.L - numerics.eye(cert.rep.h)),
@@ -184,9 +188,9 @@ def check_oplax(
 def _composition_residual(f, f_prime, certs) -> float:
     """max |L_{f o f'} - L_f L_{f'}| along the chain of dilations certs."""
     cert, cert_f, cert_ff = certs
-    l_f = stine_f(cert.source, f, cert=cert, pulled_cert=cert_f)
-    l_fp = stine_f(cert_f.source, f_prime, cert=cert_f, pulled_cert=cert_ff)
-    l_comp = stine_f(cert.source, compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
+    l_f = stine_f(f, cert=cert, pulled_cert=cert_f)
+    l_fp = stine_f(f_prime, cert=cert_f, pulled_cert=cert_ff)
+    l_comp = stine_f(compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
     return max_abs(l_comp.L - l_f.L @ l_fp.L)
 
 
@@ -232,21 +236,19 @@ def check_dagger(entries, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     return LawReport("dagger", float(residual), ok, tuple(witnesses))
 
 
-def objectwise_adjunction_suite(
-    samples, tol: Tolerance = DEFAULT_TOL, *, transports
-) -> LawReport:
+def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawReport:
     """Universal property at sampled objects.
 
     For each (T, cert_phi, target, cert_psi), with cert_phi and cert_psi the
     canonical dilations of phi and of the restriction psi of the target, and
-    T a morphism phi -> psi: the factorization through the counit reproduces
-    universal_factorization, restricts back to T on the nose, and passes the
-    morphism checks.  transports holds the matching (T, L_T) between cert_phi
-    and cert_psi, one per sample.
+    T a morphism phi -> psi: the factorization through the counit m_target
+    L_T reproduces universal_factorization, restricts back to T on the nose,
+    and passes the morphism checks.
     """
     reports = []
-    for (t, cert_phi, target, cert_psi), l_t in zip(samples, transports, strict=True):
-        univ = universal_factorization(t, cert_phi.source, target, tol, cert=cert_phi)
+    for t, cert_phi, target, cert_psi in samples:
+        univ = universal_factorization(t, target, tol, cert=cert_phi)
+        l_t = stine_on_morphism(t, tol, src_cert=cert_phi, dst_cert=cert_psi)
         counit = mediating_morphism(target, cert=cert_psi)
         reports.append(_adjunction(t, cert_phi, target, univ, counit.L @ l_t.L, tol))
     return merge_reports("objectwise_adjunction", reports)
@@ -473,7 +475,7 @@ def run_default_suite(
         rep = inflate_rep(rng, cert, extra)
         self_med = mediating_morphism(cert.rep, cert=cert)
         counit = mediating_morphism(rep, cert=cert)
-        zigzag.append(_zigzag(phi, rep, tol, cert, counit, self_med))
+        zigzag.append(_zigzag(rep, tol, cert, counit, self_med))
 
         if i % 3 == 2:
             phi_m, psi_m, t_m = _tracial_sample(rng, max_dim)
@@ -483,11 +485,11 @@ def run_default_suite(
         extra_m = [int(rng.integers(0, 2)) for _ in phi_m.domain.blocks]
         cert_psi = stinespring_dilate(psi_m, tol)
         target = inflate_rep(rng, cert_psi, extra_m)
-        univ = universal_factorization(t_m, phi_m, target, tol, cert=cert_m)
+        univ = universal_factorization(t_m, target, tol, cert=cert_m)
         # a morphism between two inflated dilations, neither of them canonical:
         # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
-        l_t = stine_on_morphism(t_m, phi_m, psi_m, tol, src_cert=cert_m, dst_cert=cert_psi)
+        l_t = stine_on_morphism(t_m, tol, src_cert=cert_m, dst_cert=cert_psi)
         m_canonical = mediating_morphism(cert_m.rep, cert=cert_m)
         m_src = mediating_morphism(src_inflated, cert=cert_m)
         m_dst = mediating_morphism(target, cert=cert_psi)

@@ -47,12 +47,6 @@ def unitary_factor(gaussians: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    if cols > rows:
-        raise ShapeMismatch("an isometry needs rows >= cols")
-    return random_unitary(rng, rows)[:, :cols]
-
-
 def random_cp_map(
     rng: np.random.Generator,
     blocks,

@@ -123,13 +123,6 @@ def encode_tolerance(tol: Tolerance) -> dict:
     return {"eps_rank": tol.eps_rank, "eps_eq": tol.eps_eq}
 
 
-def decode_tolerance(obj) -> Tolerance:
-    try:
-        return Tolerance(float(obj["eps_rank"]), float(obj["eps_eq"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad tolerance object: {exc}") from exc
-
-
 def ocp_map_doc(phi: OcpMap) -> dict:
     return {
         "schema": SCHEMA,

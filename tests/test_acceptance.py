@@ -103,7 +103,7 @@ def test_criterion_2_known_dimensions():
         assert stinespring_dilate(tau, TOL).dimension == m * m
         assert oracle_rank(brute_force_gram(tau)) == m * m
     for n in (2, 3):
-        ident = ad_map(np.eye(n), n)
+        ident = ad_map(np.eye(n))
         assert stinespring_dilate(ident, TOL).dimension == n
         assert oracle_rank(brute_force_gram(ident)) == n
     announce(2, "tracial states give dim m^2 and identity channels dim n, "
@@ -120,7 +120,7 @@ def test_criterion_3_zigzag_on_ensemble():
         cert = stinespring_dilate(phi, TOL)
         extra = [int(rng.integers(0, 2)) for _ in phi.domain.blocks]
         rep = inflate_rep(rng, cert, extra)
-        report = check_zigzag(phi, rep, TOL, cert=cert)
+        report = check_zigzag(rep, TOL, cert=cert)
         worst = max(worst, report.max_residual)
         assert report.max_residual <= 1e-9, f"instance {i}"
         med = mediating_morphism(cert.rep, cert=cert)
@@ -160,7 +160,7 @@ def test_criterion_4_universal_property():
         cert_psi = stinespring_dilate(psi, TOL)
         extra = [int(rng.integers(0, 2)) for _ in blocks]
         target = inflate_rep(rng, cert_psi, extra)
-        morphism = universal_factorization(x, phi, target, TOL, cert=cert)
+        morphism = universal_factorization(x, target, TOL, cert=cert)
         assert np.array_equal(morphism.T, x.astype(complex)), "restriction is not T"
         assert is_rep_morphism(morphism, cert.rep, target, TOL).ok
         oracle = _lstsq_morphism(x, cert.rep, target)

@@ -116,7 +116,7 @@ def test_ampliation_tracial_preserves_psd():
 def test_choi_ad_map_rank_one():
     rng = rng_for(3, 0)
     t = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    phi = ad_map(t, 2)
+    phi = ad_map(t)
     blocks = choi_blocks(phi)
     assert len(blocks) == 1
     rank, psd = rank_psd(blocks[0], TOL)
@@ -155,7 +155,7 @@ def test_choi_zero_map():
 def test_is_cp_ad_maps_and_combinations():
     rng = rng_for(4, 0)
     t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    assert is_completely_positive(ad_map(t, 2), TOL).is_cp
+    assert is_completely_positive(ad_map(t), TOL).is_cp
     combo = random_cp_map(rng, (2,), 2, kraus_rank=3)
     assert is_completely_positive(combo, TOL).is_cp
 
@@ -198,7 +198,7 @@ def test_is_unital():
     # Ad_T is unital whenever T* is an isometry, i.e. T is a co-isometry
     rng = rng_for(6, 0)
     t = random_unitary(rng, 3)[:, :2].conj().T  # 2x3 with T T* = I_2
-    assert is_unital(ad_map(t, 3), TOL)
+    assert is_unital(ad_map(t), TOL)
 
 
 def test_tracial_map_values():
@@ -215,14 +215,14 @@ def test_tracial_map_values():
 
 
 def test_ad_map_identities():
-    ident = ad_map(np.eye(2), 2)
+    ident = ad_map(np.eye(2))
     for img, unit in zip(ident.basis_images, matrix_units(M2)):
         np.testing.assert_array_equal(img, unit.block_data[0])
     rng = rng_for(7, 0)
     s = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    lhs = compose_maps(ad_map(s, 2), ad_map(t, 2))
-    rhs = ad_map(s @ t, 2)
+    lhs = compose_maps(ad_map(s), ad_map(t))
+    rhs = ad_map(s @ t)
     for a, b in zip(lhs.basis_images, rhs.basis_images):
         assert max_abs(a - b) <= 1e-12
 

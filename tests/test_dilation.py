@@ -99,7 +99,7 @@ def test_gram_tracial_state_half_identity():
 
 def test_gram_identity_channel_structure():
     for n in (2, 3):
-        ident = ad_map(np.eye(n), n)
+        ident = ad_map(np.eye(n))
         g = gram_matrix(ident, TOL)
         v = np.zeros((n * n, 1), dtype=complex)
         for l in range(n):
@@ -159,7 +159,7 @@ def test_dilate_tracial_state_dimension():
 
 def test_dilate_identity_channel_dimension():
     for n in (2, 3):
-        ident = ad_map(np.eye(n), n)
+        ident = ad_map(np.eye(n))
         cert = stinespring_dilate(ident, TOL)
         assert cert.dimension == n
         assert is_preserving(cert.rep, TOL)
@@ -291,7 +291,7 @@ def test_stine_on_morphism_identity():
     rng = rng_for(28, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    m = stine_on_morphism(np.eye(2), phi, phi, TOL, src_cert=cert, dst_cert=cert)
+    m = stine_on_morphism(np.eye(2), TOL, src_cert=cert, dst_cert=cert)
     assert max_abs(m.L - np.eye(cert.dimension)) <= 1e-10
 
 
@@ -302,7 +302,7 @@ def test_stine_on_morphism_tracial():
     t = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     c1 = stinespring_dilate(tau, TOL)
     c2 = stinespring_dilate(sigma, TOL)
-    morphism = stine_on_morphism(t, tau, sigma, TOL, src_cert=c1, dst_cert=c2)
+    morphism = stine_on_morphism(t, TOL, src_cert=c1, dst_cert=c2)
     assert is_rep_morphism(morphism, c1.rep, c2.rep, TOL).ok
 
 
@@ -312,7 +312,7 @@ def test_stine_on_morphism_isometry_gives_isometry():
     t = random_unitary(rng, 3)[:, :2]
     psi = OcpMap(phi.domain, 3, tuple(t @ m @ t.conj().T for m in phi.basis_images))
     morphism = stine_on_morphism(
-        t, phi, psi, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
+        t, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
     )
     l = morphism.L
     assert max_abs(l.conj().T @ l - np.eye(l.shape[1])) <= 1e-10
@@ -328,9 +328,9 @@ def test_stine_on_morphism_functorial():
     c_tau = stinespring_dilate(tau, TOL)
     c_sigma = stinespring_dilate(sigma, TOL)
     c_chi = stinespring_dilate(chi, TOL)
-    l1 = stine_on_morphism(t1, tau, sigma, TOL, src_cert=c_tau, dst_cert=c_sigma)
-    l2 = stine_on_morphism(t2, sigma, chi, TOL, src_cert=c_sigma, dst_cert=c_chi)
-    composite = stine_on_morphism(t2 @ t1, tau, chi, TOL, src_cert=c_tau, dst_cert=c_chi)
+    l1 = stine_on_morphism(t1, TOL, src_cert=c_tau, dst_cert=c_sigma)
+    l2 = stine_on_morphism(t2, TOL, src_cert=c_sigma, dst_cert=c_chi)
+    composite = stine_on_morphism(t2 @ t1, TOL, src_cert=c_tau, dst_cert=c_chi)
     assert max_abs(composite.L - l2.L @ l1.L) <= 1e-9
 
 
@@ -340,15 +340,31 @@ def test_stine_on_morphism_gate():
     phi, psi, t = example_28()
     with pytest.raises(NotMorphism):
         stine_on_morphism(
-            t, phi, psi, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
+            t, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=stinespring_dilate(psi, TOL)
         )
+
+
+def test_transports_gate_the_maps_their_certificates_dilate():
+    # a certificate of another map is refused, not silently transported
+    rng = rng_for(5, 0)
+    phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
+    other = random_cp_map(rng, (2,), 2, kraus_rank=2)
+    x = random_unitary(rng, 2)
+    psi = OcpMap(phi.domain, 2, x @ phi.basis_images @ x.conj().T)
+    cert_psi = stinespring_dilate(psi, TOL)
+    wrong = stinespring_dilate(other, TOL)
+    stine_on_morphism(x, TOL, src_cert=stinespring_dilate(phi, TOL), dst_cert=cert_psi)
+    with pytest.raises(NotMorphism):
+        stine_on_morphism(x, TOL, src_cert=wrong, dst_cert=cert_psi)
+    with pytest.raises(NotMorphism):
+        universal_factorization(x, inflate_rep(rng, cert_psi, [1]), TOL, cert=wrong)
 
 
 def test_stine_f_identity():
     rng = rng_for(32, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    morphism = stine_f(phi, identity_hom(phi.domain), cert=cert, pulled_cert=cert)
+    morphism = stine_f(identity_hom(phi.domain), cert=cert, pulled_cert=cert)
     assert max_abs(morphism.L - np.eye(cert.dimension)) <= 1e-10
 
 
@@ -360,7 +376,7 @@ def test_stine_f_scalar_embedding():
     pulled = pullback(phi, bang, TOL)
     pulled_cert = stinespring_dilate(pulled, TOL)
     cert = stinespring_dilate(phi, TOL)
-    morphism = stine_f(phi, bang, cert=cert, pulled_cert=pulled_cert)
+    morphism = stine_f(bang, cert=cert, pulled_cert=pulled_cert)
     assert pulled_cert.dimension == phi.k
     # L_f is an isometry from that space into the dilation of phi
     l = morphism.L
@@ -379,9 +395,9 @@ def test_stine_f_composition_law():
     cert_f = stinespring_dilate(phi_f, TOL)
     phi_ff = pullback(phi_f, f_prime, TOL)
     cert_ff = stinespring_dilate(phi_ff, TOL)
-    l_f = stine_f(phi, f, cert=cert, pulled_cert=cert_f)
-    l_fp = stine_f(phi_f, f_prime, cert=cert_f, pulled_cert=cert_ff)
-    l_comp = stine_f(phi, compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
+    l_f = stine_f(f, cert=cert, pulled_cert=cert_f)
+    l_fp = stine_f(f_prime, cert=cert_f, pulled_cert=cert_ff)
+    l_comp = stine_f(compose_homs(f, f_prime), cert=cert, pulled_cert=cert_ff)
     assert max_abs(l_comp.L - l_f.L @ l_fp.L) <= 1e-10
 
 
@@ -438,7 +454,7 @@ def test_universal_factorization_identity_target():
     rng = rng_for(39, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    morphism = universal_factorization(np.eye(2), phi, cert.rep, TOL, cert=cert)
+    morphism = universal_factorization(np.eye(2), cert.rep, TOL, cert=cert)
     assert max_abs(morphism.L - np.eye(cert.dimension)) <= 1e-10
 
 
@@ -447,7 +463,7 @@ def test_universal_factorization_is_mediating_for_identity_T():
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
     target = inflate_rep(rng, cert, [1])
-    morphism = universal_factorization(np.eye(2), phi, target, TOL, cert=cert)
+    morphism = universal_factorization(np.eye(2), target, TOL, cert=cert)
     med = mediating_morphism(target, cert=cert)
     assert max_abs(morphism.L - med.L) <= 1e-10
 
@@ -460,7 +476,7 @@ def test_universal_factorization_restricts_to_T_and_unique():
     cert = stinespring_dilate(tau, TOL)
     cert_sigma = stinespring_dilate(sigma, TOL)
     target = inflate_rep(rng, cert_sigma, [1])
-    morphism = universal_factorization(t, tau, target, TOL, cert=cert)
+    morphism = universal_factorization(t, target, TOL, cert=cert)
     np.testing.assert_array_equal(morphism.T, t.astype(complex))
     assert is_rep_morphism(morphism, cert.rep, target, TOL).ok
     # independent oracle: solve the defining linear system for L directly
@@ -620,7 +636,7 @@ def test_rank_instability_flag():
     rng = rng_for(47, 0)
     t = random_unitary(rng, 2)
     s = random_unitary(rng, 2)
-    clean = ad_map(t, 2)
+    clean = ad_map(t)
     cert_clean = stinespring_dilate(clean, TOL)
     assert not cert_clean.rank_unstable
 
@@ -752,6 +768,44 @@ def test_canonical_dilation_is_minimal_at_every_scale(shape, k, seed, log_scale)
     scaled = AnchoredRep(algebra, k, rep.h, rep.pi_images, np.sqrt(10.0**log_scale) * rep.V)
     assert is_minimal(rep, TOL)
     assert is_minimal(scaled, TOL)
+
+
+SHAPES = st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3)
+
+
+def gaussian_kraus_map(rng, shape, k):
+    """kraus_map with kr Gaussian k x n Kraus operators on each block (n, kr);
+    a shape with no operators at all gets one on its first block."""
+    if all(kr == 0 for _, kr in shape):
+        shape = [(shape[0][0], 1), *shape[1:]]
+    families = [[complex_gaussian(rng, k, n) for _ in range(kr)] for n, kr in shape]
+    return kraus_map(families, FdCStarAlgebra(tuple(n for n, _ in shape)), k)
+
+
+@settings(deadline=None, max_examples=30)
+@given(shape=SHAPES, k=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_dilation_dimension_is_unitarily_invariant(shape, k, seed):
+    # X phi(.) X* has Kraus operators X K_i, so the same Choi ranks and d
+    rng = rng_for(seed, 0)
+    phi = gaussian_kraus_map(rng, shape, k)
+    x = random_unitary(rng, k)
+    turned = OcpMap(phi.domain, k, x @ phi.basis_images @ x.conj().T)
+    assert stinespring_dilate(turned, TOL).dimension == stinespring_dilate(phi, TOL).dimension
+
+
+@settings(deadline=None, max_examples=30)
+@given(shape1=SHAPES, shape2=SHAPES, k=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_dilation_dimension_adds_over_domain_direct_sums(shape1, shape2, k, seed):
+    # phi1 (+) phi2 on A1 (+) A2 has the Choi blocks of phi1, then those of
+    # phi2.  Splitting the output C^k = C^k1 (+) C^k2 is only subadditive:
+    # the identity channel on M_2 has d = 2, and so has each of its
+    # compressions a -> a_11 and a -> a_22.
+    phi1 = gaussian_kraus_map(rng_for(seed, 0), shape1, k)
+    phi2 = gaussian_kraus_map(rng_for(seed, 1), shape2, k)
+    algebra = FdCStarAlgebra(phi1.domain.blocks + phi2.domain.blocks)
+    both = OcpMap(algebra, k, np.concatenate([phi1.basis_images, phi2.basis_images]))
+    d1, d2 = (stinespring_dilate(phi, TOL).dimension for phi in (phi1, phi2))
+    assert stinespring_dilate(both, TOL).dimension == d1 + d2
 
 
 def test_tiny_map_dilation_is_minimal():

@@ -11,7 +11,6 @@ from dilatory.dilation import (
     RepMorphism,
     mediating_morphism,
     restrict,
-    stine_on_morphism,
     stinespring_dilate,
     universal_factorization,
 )
@@ -59,9 +58,9 @@ def test_zigzag_on_canonical_and_inflated():
     rng = rng_for(80, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
     cert = stinespring_dilate(phi, TOL)
-    assert check_zigzag(phi, cert.rep, TOL, cert=cert).passed
+    assert check_zigzag(cert.rep, TOL, cert=cert).passed
     inflated = inflate_rep(rng, cert, [1])
-    report = check_zigzag(phi, inflated, TOL, cert=cert)
+    report = check_zigzag(inflated, TOL, cert=cert)
     assert report.passed and report.max_residual <= 1e-10
 
 
@@ -74,7 +73,7 @@ def test_zigzag_rejects_a_rep_that_does_not_dilate_the_certified_map():
         inflated.algebra, inflated.k, inflated.h, inflated.pi_images, 1.01 * inflated.V
     )
     assert max_abs(restrict(bad).basis_images - phi.basis_images) > 1e-3
-    report = check_zigzag(phi, bad, TOL, cert=cert)
+    report = check_zigzag(bad, TOL, cert=cert)
     assert not report.passed and report.max_residual >= CONTROL_FLOOR
 
 
@@ -95,9 +94,8 @@ def test_naturality_positive_and_negative():
     cert = stinespring_dilate(phi, TOL)
     cert_psi = stinespring_dilate(psi, TOL)
     target = inflate_rep(rng, cert_psi, [1])
-    morphism = universal_factorization(x, phi, target, TOL, cert=cert)
-    l_t = stine_on_morphism(x, phi, psi, TOL, src_cert=cert, dst_cert=cert_psi)
-    certs = {"src_cert": cert, "dst_cert": cert_psi, "l_t": l_t}
+    morphism = universal_factorization(x, target, TOL, cert=cert)
+    certs = {"src_cert": cert, "dst_cert": cert_psi}
     report = check_naturality_m(morphism, cert.rep, target, TOL, **certs)
     assert report.passed
 
@@ -156,7 +154,7 @@ def test_dagger_entries():
     ]
     cert = stinespring_dilate(phi, TOL)
     target = inflate_rep(rng, stinespring_dilate(psi, TOL), [1])
-    morphism = universal_factorization(t, phi, target, TOL, cert=cert)
+    morphism = universal_factorization(t, target, TOL, cert=cert)
     chain.append((morphism, cert.rep, target))
     report = check_dagger(chain, TOL)
     assert report.passed
@@ -164,7 +162,7 @@ def test_dagger_entries():
 
 def test_objectwise_adjunction_positive():
     rng = rng_for(87, 0)
-    samples, transports = [], []
+    samples = []
     for _ in range(5):
         phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
         x = random_unitary(rng, 2)
@@ -173,10 +171,7 @@ def test_objectwise_adjunction_positive():
         cert_psi = stinespring_dilate(psi, TOL)
         target = inflate_rep(rng, cert_psi, [1])
         samples.append((x, cert_phi, target, cert_psi))
-        transports.append(
-            stine_on_morphism(x, phi, psi, TOL, src_cert=cert_phi, dst_cert=cert_psi)
-        )
-    report = objectwise_adjunction_suite(samples, TOL, transports=transports)
+    report = objectwise_adjunction_suite(samples, TOL)
     assert report.passed and report.max_residual <= 1e-9
 
 

@@ -79,12 +79,12 @@ def test_transports_match_dense_formulas(blocks, k, pad, seed):
         images[:, k:, k:] += chi
     psi = OcpMap(phi.domain, k + pad, images)
     cert_psi = stinespring_dilate(psi, TOL)
-    l_t = stine_on_morphism(t, phi, psi, TOL, src_cert=cert_phi, dst_cert=cert_psi)
+    l_t = stine_on_morphism(t, TOL, src_cert=cert_phi, dst_cert=cert_psi)
     lifted = kron(np.eye(phi.domain.dim), t)
     assert_close(l_t.L, dense_q(cert_psi) @ lifted @ cert_phi.q_pinv)
 
     target = inflate_rep(rng, cert_psi, [1] * len(blocks))
-    univ = universal_factorization(t, phi, target, TOL, cert=cert_phi)
+    univ = universal_factorization(t, target, TOL, cert=cert_phi)
     assert_close(univ.L, loop_columns(target, target.V @ t) @ cert_phi.q_pinv)
     m = mediating_morphism(target, cert=cert_psi)
     assert_close(m.L, loop_columns(target, target.V) @ cert_psi.q_pinv)
@@ -93,7 +93,7 @@ def test_transports_match_dense_formulas(blocks, k, pad, seed):
     top = random_cp_map(rng, f.target.blocks, k, kraus_rank=2)
     cert_top = stinespring_dilate(top, TOL)
     cert_pulled = stinespring_dilate(pullback(top, f, TOL), TOL)
-    l_f = stine_f(top, f, cert=cert_top, pulled_cert=cert_pulled)
+    l_f = stine_f(f, cert=cert_top, pulled_cert=cert_pulled)
     lifted = kron(f.matrix, np.eye(k))
     assert_close(l_f.L, dense_q(cert_top) @ lifted @ cert_pulled.q_pinv)
 
