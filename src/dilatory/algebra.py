@@ -148,9 +148,6 @@ class AlgebraElement:
         """Coordinates on the matrix-unit basis, block-major row-major."""
         return np.concatenate([b.reshape(-1) for b in self.block_data])
 
-    def trace(self) -> complex:
-        return complex(sum(np.trace(b) for b in self.block_data))
-
     def norm(self) -> float:
         """C*-norm: largest operator norm over the blocks."""
         return max(numerics.op_norm(b) for b in self.block_data)

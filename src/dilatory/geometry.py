@@ -9,9 +9,10 @@ list in one zero-padded batch.  A representation is brought to the normal form
 R pi(a) R* = (+)_j a_j (x) 1_{c_j} straight off its matrix units: the
 multiplicity space of block j is range pi(E^j_00), and the units pi(E^j_a0)
 carry an orthonormal basis of it across the block (Davidson, C*-Algebras by
-Example, ch. III).  Purification then reduces to extending, block by block,
-the tensor factor of the connecting morphism between two dilations of the
-same map.
+Example, ch. III).  That normal form is also the representation gate: its
+residual and the unit residual bound every *-hom residual, so no *-hom check
+runs first.  Purification then reduces to extending, block by block, the tensor
+factor of the connecting morphism between two dilations of the same map.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .algebra import FdCStarAlgebra, boxplus_rep_images, check_star_hom, representation_hom
+from .algebra import FdCStarAlgebra, boxplus_rep_images
 from .dilation import (
     AnchoredRep,
     RepMorphism,
@@ -34,6 +35,7 @@ from .errors import (
     DilatoryError,
     NotEquivalent,
     NotExtension,
+    NotHermitian,
     NotPartialIsometry,
     NotRepresentation,
     NotTensorForm,
@@ -143,10 +145,10 @@ def extend_partial_isometry(l, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     choice is deterministic.
     """
     mat = as_matrix(l)
-    report = partial_isometry_report(mat, tol)
-    if not report.is_partial_isometry:
-        raise NotPartialIsometry(f"residual {report.residual:.3e}")
     u, sing, v = numerics.svd(mat)
+    residual, _, algebraic, _ = _dual_tests(mat[None], sing[None], tol)
+    if not algebraic[0]:
+        raise NotPartialIsometry(f"residual {residual[0]:.3e}")
     rank = int(np.count_nonzero(sing > tol.eps_rank))
     rows, cols = mat.shape
     u1, v1 = u[:, :rank], v[:, :rank]
@@ -179,32 +181,33 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return out
 
 
-def _rep_images(pi_images, algebra: FdCStarAlgebra, tol: Tolerance) -> np.ndarray:
-    """The images as one stack; NotRepresentation unless they define a
-    unital *-hom A -> M_h."""
-    images = as_stack(pi_images, algebra.dim)
-    if images.shape[1] < 1:
-        raise DegenerateDimension(f"h={images.shape[1]}; must be >= 1")
-    report = check_star_hom(representation_hom(algebra, images), tol)
-    if not report.ok:
-        raise NotRepresentation(f"not a unital *-representation: {report.residuals}")
-    return images
-
-
 def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance = DEFAULT_TOL):
     """Multiplicities (c_1, ..., c_t) and unitary R onto the block normal form.
 
     The multiplicity space of block j is range pi(E^j_00), c_j its rank (one
     eigensolve per block); the units pi(E^j_a0) carry its orthonormal basis
     across the block, and those columns, ordered a major, are the rows of R
-    for block j.  A killed block contributes none.  Since pi(1) = 1, the one
-    residual check against the normal form also proves R unitary.
+    for block j.  A killed block contributes none.  It is also the gate: it
+    raises NotRepresentation unless the ranks fill C^h and e1 = max|sum_i
+    pi(E_ii) - 1| and e = max_a |R pi(a) R* - B(a)| (B the normal form) are
+    <= eps_eq.  Then ||R R* - 1|| <= f = h (d e + e1) / (1 - h e1), d = sum_j
+    n_j, and for f < 1 check_star_hom's residuals are at most e1 (unital),
+    2 h e / (1 - f) (star) and (3 h e + (h e)^2 + (1 + h e)^2 f / (1 - f)) /
+    (1 - f) (multiplicative), in exact arithmetic.
     """
-    images = _rep_images(pi_images, algebra, tol)
+    images = as_stack(pi_images, algebra.dim)
     h = images.shape[1]
+    if h < 1:
+        raise DegenerateDimension(f"h={h}; must be >= 1")
+    unit = max_abs(images[algebra._unit_tables[2]].sum(axis=0) - numerics.eye(h))
+    if unit > tol.eps_eq:
+        raise NotRepresentation(f"unit residual {unit:.3e}")
     mults, columns = [], []
     for n, offset in zip(algebra.blocks, algebra._offsets):
-        w, u = numerics.hermitian_eig(images[offset], tol)
+        try:
+            w, u = numerics.hermitian_eig(images[offset], tol)
+        except NotHermitian as exc:
+            raise NotRepresentation(f"pi(E_00) is not Hermitian: {exc}") from exc
         c = int(np.count_nonzero(w > 0.5))
         mults.append(c)
         # column (a, alpha) is pi(E_a0) u_alpha

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilatory.algebra import FdCStarAlgebra, matrix_units
+from dilatory.algebra import FdCStarAlgebra, check_star_hom, matrix_units, representation_hom
 from dilatory import numerics
 from dilatory.cpmap import kraus_map, tracial_map
 from dilatory.dilation import (
@@ -592,6 +594,10 @@ def test_normal_form_general_rejects_malformed_images():
     broken[1] = 0.5 * broken[1]
     with pytest.raises(NotRepresentation):
         normal_form_general_rep(broken, algebra, TOL)
+    skew = list(images)
+    skew[0] = skew[0] + 1e-3 * np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    with pytest.raises(NotRepresentation):
+        normal_form_general_rep(skew, algebra, TOL)
 
 
 def test_normal_form_one_eigensolve_per_block(monkeypatch):
@@ -703,3 +709,159 @@ def test_purification_self_check_is_scale_free_at_large_scales(blocks, log_s, se
         _verify_purification(1.01 * u, rep1, rep2, TOL, require_unitary=False)
     with pytest.raises(DilatoryError):
         _verify_purification(1.01 * u, rep1, rep2, TOL, require_unitary=True)
+
+
+def test_normal_form_refuses_a_skew_unit_image_as_not_a_representation():
+    # max|pi(E_00)| is 0.405, so a skew part that check_star_hom passes
+    # (star residual 8e-10 <= eps_eq) fails the eigensolver's symmetry test,
+    # which is relative to the largest entry; the refusal is still the gate's
+    rng = rng_for(5, 0)
+    _, _, rep, _ = random_dilation_pair(rng, (2, 3), 2, TOL, [1, 1], [0, 0])
+    g = complex_gaussian(rng, 15, 15)
+    skew = g - g.conj().T
+    images = rep.pi_images.copy()
+    images[0] += 4e-10 * skew / max_abs(skew)
+    assert check_star_hom(representation_hom(rep.algebra, images), TOL).ok
+    with pytest.raises(NotRepresentation):
+        normal_form_general_rep(images, rep.algebra, TOL)
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """Record the calls of module.name, wherever a dilatory module bound it."""
+    calls, real = [], getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    for other in list(sys.modules.values()):
+        if other.__name__.startswith("dilatory") and getattr(other, name, None) is real:
+            monkeypatch.setattr(other, name, spied)
+    return calls
+
+
+def test_normal_form_and_purification_run_no_star_hom_gate(monkeypatch):
+    import dilatory.algebra
+
+    gated = _spy(monkeypatch, dilatory.algebra, "check_star_hom")
+    _, _, rep1, rep2 = random_dilation_pair(rng_for(80, 0), (2, 3), 2, TOL, [1, 0], [1, 0])
+    _, _, rep3, _ = random_dilation_pair(rng_for(80, 1), (2, 3), 2, TOL, [0, 1])
+    normal_form_general_rep(rep1.pi_images, rep1.algebra, TOL)
+    purify_unitary(rep1, rep2, TOL)
+    purify_partial(rep1, rep2, TOL)
+    with pytest.raises(NotRepresentation):
+        normal_form_general_rep(1.001 * rep3.pi_images, rep3.algebra, TOL)
+    assert gated == []
+
+
+def test_extension_takes_one_svd(monkeypatch):
+    full = _spy(monkeypatch, numerics, "svd")
+    right = _spy(monkeypatch, numerics, "right_singular")
+    rng = rng_for(81, 0)
+    for rows, cols, rank in ((3, 3, 2), (4, 2, 1), (2, 5, 2)):
+        l = random_partial_isometry(rng, rows, cols, rank)
+        out = extend_partial_isometry(l, TOL)
+        assert (len(full), len(right)) == (1, 0)
+        assert is_extension(l, out, TOL)
+        full.clear()
+        right.clear()
+    with pytest.raises(NotPartialIsometry, match="residual 3.750e-01"):
+        extend_partial_isometry(np.diag([1.0, 0.5]), TOL)
+    assert (len(full), len(right)) == (1, 0)
+
+
+PERTURBATIONS = ("gaussian", "hermitian", "similarity", "scaling")
+
+
+def _perturbed(rng, images, algebra, kind, delta):
+    """pi plus a perturbation of size delta: an independent Gaussian per
+    image, one that keeps pi(a*) = pi(a)* (Hermitian), S pi S^-1 with
+    S = 1 + delta X (keeps the products), or (1 + delta) pi."""
+    dim, h, _ = images.shape
+    if kind == "similarity":
+        s = np.eye(h) + delta * complex_gaussian(rng, h, h)
+        return s @ images @ np.linalg.inv(s)
+    if kind == "scaling":
+        return (1.0 + delta) * images
+    g = np.stack([complex_gaussian(rng, h, h) for _ in range(dim)])
+    if kind == "hermitian":
+        g = g + np.conj(g[algebra._unit_tables[1]]).transpose(0, 2, 1)
+    return images + delta * g
+
+
+def _gate_bounds(e, e1, h, d):
+    """normal_form_general_rep's docstring bounds on check_star_hom's
+    residuals, from the normal form residual e and the unit residual e1."""
+    f = h * (d * e + e1) / (1.0 - h * e1)
+    he = h * e
+    return {
+        "unital": e1,
+        "star": 2.0 * he / (1.0 - f),
+        "multiplicative": (3.0 * he + he**2 + (1.0 + he) ** 2 * f / (1.0 - f)) / (1.0 - f),
+    }
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    blocks=st.sampled_from([(1,), (2,), (3,), (4,), (5,), (1, 1), (1, 2), (2, 2), (2, 3)]),
+    junk=st.lists(st.integers(0, 1), min_size=2, max_size=2),
+    kind=st.sampled_from(PERTURBATIONS),
+    log_delta=st.floats(-13.0, -5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_normal_form_acceptance_bounds_the_star_hom_gate(blocks, junk, kind, log_delta, seed):
+    # check_star_hom is the reference: whatever the normal form accepts, the
+    # gate's residuals are within the bounds of its docstring (plus rounding)
+    rng = np.random.default_rng(seed)
+    _, _, rep, _ = random_dilation_pair(rng, blocks, 2, TOL, junk[: len(blocks)])
+    algebra = rep.algebra
+    images = _perturbed(rng, rep.pi_images, algebra, kind, 10.0**log_delta)
+    try:
+        mults, r = normal_form_general_rep(images, algebra, TOL)
+    except NotRepresentation:
+        return
+    h = images.shape[1]
+    e = max_abs(r @ images @ r.conj().T - boxplus_rep_images(algebra, mults))
+    e1 = max_abs(sum(images[i] for i in algebra._unit_tables[2]) - np.eye(h))
+    bounds = _gate_bounds(e, e1, h, sum(algebra.blocks))
+    residuals = check_star_hom(representation_hom(algebra, images), TOL).residuals
+    for name, bound in bounds.items():
+        assert residuals[name] <= bound + 16 * h * np.finfo(float).eps, name
+
+
+def _off_diagonal_scaled(rng, images):
+    out = images.copy()
+    out[1] *= 0.5  # E_01 of the (2, 3) algebra's first block
+    return out
+
+
+def _skew_unit(rng, images):
+    g = complex_gaussian(rng, images.shape[1], images.shape[1])
+    out = images.copy()
+    out[0] += 1e-3 * (g - g.conj().T)
+    return out
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        _off_diagonal_scaled,
+        lambda rng, images: _perturbed(rng, images, None, "scaling", 1e-3),
+        lambda rng, images: _perturbed(rng, images, None, "similarity", 1e-2),
+        _skew_unit,
+    ],
+    ids=["off-diagonal-unit-scaled", "non-unital", "non-unitary-similarity", "skew-unit-image"],
+)
+def test_normal_form_refuses_what_the_gate_refuses_widely(breaks):
+    rng = rng_for(82, 0)
+    _, _, rep1, rep2 = random_dilation_pair(rng, (2, 3), 2, TOL, [1, 1], [1, 1])
+    images = breaks(rng, rep1.pi_images)
+    residuals = check_star_hom(representation_hom(rep1.algebra, images), TOL).residuals
+    assert max(residuals.values()) > 1e4 * TOL.eps_eq
+    with pytest.raises(NotRepresentation):
+        normal_form_general_rep(images, rep1.algebra, TOL)
+    broken = AnchoredRep(rep1.algebra, rep1.k, rep1.h, images, rep1.V)
+    for purify in (purify_unitary, purify_partial):
+        with pytest.raises(NotRepresentation):
+            purify(broken, rep2, TOL)
