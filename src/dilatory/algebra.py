@@ -289,6 +289,7 @@ def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
     image where the product of units vanishes), computed one row alpha at a
     time against the whole stack; unitality is tested on the unit and the
     star condition on every basis element; linearity holds structurally.
+    Scale 1: no multiple of a *-homomorphism is one.
     """
     src = f.source
     product, star, diagonal = src._unit_tables
@@ -305,9 +306,9 @@ def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
 
     star_res = max_abs(np.conj(images).transpose(0, 2, 1) - images[star])
     return StarHomReport(
-        unital=unit_res <= tol.eps_eq,
-        multiplicative=mult_res <= tol.eps_eq,
-        star_preserving=star_res <= tol.eps_eq,
+        unital=tol.within(unit_res),
+        multiplicative=tol.within(mult_res),
+        star_preserving=tol.within(star_res),
         residuals={"unital": unit_res, "multiplicative": mult_res, "star": star_res},
     )
 
@@ -388,12 +389,10 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     sing, v = numerics.right_singular(r)
     top = max(float(sing[0]), 2.0 * np.sqrt(np.sum(np.abs(centred) ** 2) / n))
     norm = float(np.linalg.norm(stack, axis=(1, 2)).max())
-    if top <= tol.eps_rank * norm:
-        rank = 0
-    else:
-        # floored at the rounding of the reduced system (see the docstring)
-        cut = max(tol.eps_rank * top, 10.0 * n * np.finfo(np.float64).eps * norm)
-        rank = int(np.count_nonzero(sing > cut))
+    # a top not above the cut of the norm is rounding (see the docstring)
+    floor = 10.0 * n * np.finfo(np.float64).eps * norm
+    cut = tol.cut(top, floor) if top > tol.cut(norm) else np.inf
+    rank = int(np.count_nonzero(sing > cut))
     y = np.zeros((unknowns - rank, n, n), dtype=np.complex128)
     y[:, rows, cols] = v[:, rank:].T
     return list(u @ y @ dagger(u))

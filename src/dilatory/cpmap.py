@@ -91,8 +91,8 @@ def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpRepor
 
     One eigensolve per block, of its Hermitian part, kept for the dilation.
     C_j is Hermitian exactly when phi(b*) = phi(b)* on block j; the residual
-    max |C_j - C_j*| may be at most eps_eq times the largest Choi entry, and
-    each smallest eigenvalue at least -eps_rank times the largest over all
+    max |C_j - C_j*| is weighed against the largest Choi entry, and no
+    smallest eigenvalue may lie below minus the cut of the largest over all
     blocks, floored at 0.  So s phi gets the decision of phi for every s > 0.
     """
     sa, eigs = 0.0, []
@@ -103,9 +103,9 @@ def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpRepor
     eigs = tuple(eigs)
     mins = tuple(float(w[-1]) for w, _ in eigs)
     lam_max = max(0.0, max(float(w[0]) for w, _ in eigs))
-    selfadjoint = sa <= tol.eps_eq * max_abs(phi.basis_images)
+    selfadjoint = tol.within(sa, max_abs(phi.basis_images))
     return CpReport(
-        is_cp=selfadjoint and min(mins) >= -tol.eps_rank * lam_max,
+        is_cp=selfadjoint and min(mins) >= -tol.cut(lam_max),
         min_eigenvalues=mins,
         selfadjoint_residual=sa,
         selfadjoint=selfadjoint,
@@ -114,7 +114,8 @@ def is_completely_positive(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> CpRepor
 
 
 def is_unital(phi: OcpMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return max_abs(apply(phi, phi.domain.unit()) - numerics.eye(phi.k)) <= tol.eps_eq
+    """Whether phi(1) = 1, at scale 1: a multiple s phi is not unital."""
+    return tol.within(max_abs(apply(phi, phi.domain.unit()) - numerics.eye(phi.k)))
 
 
 def tracial_map(m: int, p: int) -> OcpMap:
@@ -187,14 +188,16 @@ class OcpMorphism:
 
 
 def is_ocp_morphism(t, phi: OcpMap, psi: OcpMap, tol: Tolerance = DEFAULT_TOL):
-    """Whether T phi(a) = psi(a) T on the basis; returns (bool, max residual)."""
+    """Whether T phi(a) = psi(a) T on the basis, at the scale max|T|
+    max(max|phi|, max|psi|); returns (bool, max residual)."""
     mat = as_matrix(t)
     if phi.domain.blocks != psi.domain.blocks:
         raise ShapeMismatch("maps live over different algebras")
     if mat.shape != (psi.k, phi.k):
         raise ShapeMismatch(f"T shape {mat.shape} != ({psi.k}, {phi.k})")
     res = max_abs(mat @ phi.basis_images - psi.basis_images @ mat)
-    return res <= tol.eps_eq, res
+    scale = max_abs(mat) * max(max_abs(phi.basis_images), max_abs(psi.basis_images))
+    return tol.within(res, scale), res
 
 
 @dataclass(frozen=True)
@@ -223,10 +226,11 @@ def check_morphism_variants(
     r23 = max_abs(mat @ p @ dagger(mat) - q)
     r22 = max_abs(mat @ p - q @ mat)
     r24 = max_abs(dagger(mat) @ q @ mat - p)
+    m_t, m_p, m_q = max_abs(mat), max_abs(p), max_abs(q)
     return MorphismVariantReport(
-        diagram_23=r23 <= tol.eps_eq,
-        diagram_22=r22 <= tol.eps_eq,
-        diagram_24=r24 <= tol.eps_eq,
+        diagram_23=tol.within(r23, max(m_t * m_t * m_p, m_q)),
+        diagram_22=tol.within(r22, m_t * max(m_p, m_q)),
+        diagram_24=tol.within(r24, max(m_t * m_t * m_q, m_p)),
         residuals={"diagram_23": r23, "diagram_22": r22, "diagram_24": r24},
     )
 
@@ -252,13 +256,14 @@ def decompose_opstate_morphism(
 ) -> OpStateDecomposition:
     """Split a morphism of operator states into a direct sum.
 
-    Requires phi, psi unital CP and T an isometric morphism.  Returns the
+    Requires phi, psi unital CP and T an isometric morphism (T*T = 1 at
+    scale 1: a multiple of an isometry is not one).  Returns the
     unitary onto range(T) (T itself), the compressions psi1 = T* psi T and
     psi2 on the orthogonal complement, and orthonormal bases of both summands.
     """
     mat = as_matrix(t)
     iso_res = max_abs(dagger(mat) @ mat - numerics.eye(phi.k))
-    if iso_res > tol.eps_eq:
+    if not tol.within(iso_res):
         raise NotIsometry(f"T*T - I residual {iso_res:.3e}")
     ok, res = is_ocp_morphism(mat, phi, psi, tol)
     if not ok:

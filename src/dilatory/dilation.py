@@ -99,8 +99,8 @@ def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomRepor
 
 
 def is_preserving(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the anchor V is an isometry."""
-    return max_abs(dagger(rep.V) @ rep.V - numerics.eye(rep.k)) <= tol.eps_eq
+    """Whether the anchor V is an isometry, at scale 1 (s V is not one)."""
+    return tol.within(max_abs(dagger(rep.V) @ rep.V - numerics.eye(rep.k)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,8 @@ def is_rep_morphism(
 ) -> RepMorphismReport:
     """Verify the intertwining square and both anchor squares.
 
-    L pi(a) = rho(a) L on the basis, L V = W T, and T V* = W* L.
+    L pi(a) = rho(a) L on the basis, L V = W T, and T V* = W* L, each at
+    the scale of the terms it compares (numerics.Tolerance).
     """
     if src.algebra.blocks != dst.algebra.blocks:
         raise ShapeMismatch("representations are over different algebras")
@@ -137,7 +138,12 @@ def is_rep_morphism(
     inter = max_abs(m.L @ src.pi_images - dst.pi_images @ m.L)
     square_v = max_abs(m.L @ src.V - dst.V @ m.T)
     square_vstar = max_abs(m.T @ dagger(src.V) - dagger(dst.V) @ m.L)
-    ok = max(inter, square_v, square_vstar) <= tol.eps_eq
+    t, l, v, w = (max_abs(x) for x in (m.T, m.L, src.V, dst.V))
+    ok = (
+        tol.within(inter, l * max(max_abs(src.pi_images), max_abs(dst.pi_images)))
+        and tol.within(square_v, max(l * v, w * t))
+        and tol.within(square_vstar, max(t * v, w * l))
+    )
     return RepMorphismReport(
         ok=ok,
         residuals={"intertwine": inter, "squareV": square_v, "squareVstar": square_vstar},
@@ -165,7 +171,7 @@ class DilationCertificate:
     def rank_unstable(self) -> bool:
         """Whether a Gram eigenvalue lies within a factor of 10 of the cutoff."""
         spectrum = self.gram_eigenvalues
-        cut = self.tol.eps_rank * float(spectrum[0])
+        cut = self.tol.cut(float(spectrum[0]))
         return bool(np.any((spectrum > cut / 10.0) & (spectrum < cut * 10.0)))
 
     @property
@@ -243,7 +249,7 @@ def stinespring_dilate(
     lam_max = float(spectrum[0])
     if lam_max <= 0.0:
         raise DegenerateDimension("Gram matrix vanishes; the zero map has no dilation here")
-    cut = tol.eps_rank * lam_max
+    cut = tol.cut(lam_max)
 
     ranks, q_pinv_blocks, v_blocks = [], [], []
     leakage = 0.0
@@ -362,16 +368,11 @@ def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether pi(A) V(C^k) spans the whole carrier space.
 
     The rank cut is relative to the largest singular value of the spanning
-    columns, so the answer does not change when V is rescaled; only an
-    exactly zero span counts as empty.
+    columns, so the answer does not change when V is rescaled.
     """
     # rank(cols) = rank(cols*); the tall orientation keeps the discarded V at h x h
     sing, _ = numerics.right_singular(dagger(_span_columns(rep)))
-    smax = float(sing[0]) if sing.size else 0.0
-    if smax == 0.0:
-        return False
-    rank = int(np.count_nonzero(sing > tol.eps_rank * smax))
-    return rank == rep.h
+    return int(np.count_nonzero(sing > tol.cut(float(sing[0])))) == rep.h
 
 
 def minimal_unitary(
@@ -381,7 +382,7 @@ def minimal_unitary(
 
     The dilation space is canonical only up to unitary, so the comparison is
     pinned to ``cert``, a dilation of restrict(rep); the canonical dilation
-    itself then maps by the identity.
+    itself then maps by the identity.  Unitarity is tested at scale 1.
     """
     if not is_minimal(rep, tol):
         raise NotMinimal("representation is not minimal; no unitary comparison exists")
@@ -391,7 +392,7 @@ def minimal_unitary(
         max_abs(dagger(u) @ u - numerics.eye(u.shape[1])),
         max_abs(u @ dagger(u) - numerics.eye(u.shape[0])),
     )
-    if defect > tol.eps_eq:
+    if not tol.within(defect):
         raise NotMinimal(f"mediating morphism is not unitary; defect {defect:.3e}")
     return morphism
 

@@ -65,12 +65,12 @@ class PartialIsometryReport:
 def _dual_tests(stack: np.ndarray, sing: np.ndarray, tol: Tolerance):
     """Both definitions for each matrix L of a stack, given its singular
     values: the residual max|L L* L - L| and the defect max|s - 1| over the
-    s > eps_rank, then the two verdicts, each that its figure is at most
-    eps_eq."""
+    s above the cut of 1, then the two verdicts.  Scale 1 throughout: the
+    singular values of a partial isometry are 0 or 1, so s L is not one."""
     cube = stack @ np.conj(stack.swapaxes(-1, -2)) @ stack
     residual = np.max(np.abs(cube - stack), axis=(-2, -1), initial=0.0)
-    defect = np.max(np.abs(sing - 1.0), axis=-1, where=sing > tol.eps_rank, initial=0.0)
-    return residual, defect, residual <= tol.eps_eq, defect <= tol.eps_eq
+    defect = np.max(np.abs(sing - 1.0), axis=-1, where=sing > tol.cut(1.0), initial=0.0)
+    return residual, defect, tol.within(residual), tol.within(defect)
 
 
 def partial_isometry_report(l, tol: Tolerance = DEFAULT_TOL) -> PartialIsometryReport:
@@ -80,7 +80,7 @@ def partial_isometry_report(l, tol: Tolerance = DEFAULT_TOL) -> PartialIsometryR
     return PartialIsometryReport(
         is_partial_isometry=bool(algebraic[0]),
         restricted_isometry_ok=bool(restricted[0]),
-        initial_space_basis=v[:, : int(np.count_nonzero(sing > tol.eps_rank))],
+        initial_space_basis=v[:, : int(np.count_nonzero(sing > tol.cut(1.0)))],
         residual=float(residual[0]),
         initial_defect=float(defect[0]),
     )
@@ -94,7 +94,7 @@ def classify_partial_isometries(matrices, tol: Tolerance = DEFAULT_TOL):
     The matrices are zero-padded into one (count, side, side) stack, with one
     batched residual and one batched svd(compute_uv=False).  Padding changes
     neither verdict: the padded entries of L L* L - L are exact zeros, and
-    the extra singular values are 0, below eps_rank.
+    the extra singular values are 0, below the cut.
     """
     side = max((max(np.shape(m)) for m in matrices), default=0)
     stack = np.zeros((len(matrices), side, side), dtype=np.complex128)
@@ -108,32 +108,33 @@ def classify_partial_isometries(matrices, tol: Tolerance = DEFAULT_TOL):
 
 
 def is_extension(l, m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether M agrees with L on L's initial space (L <= M)."""
+    """Whether M agrees with L on L's initial space (L <= M), at scale 1.
+    Only L's initial space needs an SVD; M needs only its residual."""
     lmat = as_matrix(l)
     mmat = as_matrix(m)
     if lmat.shape != mmat.shape:
         raise ShapeMismatch("extension candidates must have equal shape")
     rep_l = partial_isometry_report(lmat, tol)
-    rep_m = partial_isometry_report(mmat, tol)
     if not rep_l.is_partial_isometry:
         raise NotPartialIsometry(f"L residual {rep_l.residual:.3e}")
-    if not rep_m.is_partial_isometry:
-        raise NotPartialIsometry(f"M residual {rep_m.residual:.3e}")
+    residual_m, _, algebraic_m, _ = _dual_tests(mmat[None], np.zeros((1, 0)), tol)
+    if not algebraic_m[0]:
+        raise NotPartialIsometry(f"M residual {residual_m[0]:.3e}")
     basis = rep_l.initial_space_basis
     proj = basis @ dagger(basis)
-    return max_abs((mmat - lmat) @ proj) <= tol.eps_eq
+    return tol.within(max_abs((mmat - lmat) @ proj))
 
 
 def is_intertwining_extension(
     l, m, pi_images, rho_images, tol: Tolerance = DEFAULT_TOL
 ) -> bool:
-    """L trianglelefteq M: an extension that also intertwines pi and rho."""
+    """L trianglelefteq M: an extension that also intertwines pi and rho (scale 1)."""
     if not is_extension(l, m, tol):
         raise NotExtension("M does not extend L on its initial space")
     mmat = as_matrix(m)
     pi = as_stack(pi_images)
     rho = as_stack(rho_images, len(pi))
-    return max_abs(mmat @ pi - rho @ mmat) <= tol.eps_eq
+    return tol.within(max_abs(mmat @ pi - rho @ mmat))
 
 
 def extend_partial_isometry(l, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -149,7 +150,7 @@ def extend_partial_isometry(l, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     residual, _, algebraic, _ = _dual_tests(mat[None], sing[None], tol)
     if not algebraic[0]:
         raise NotPartialIsometry(f"residual {residual[0]:.3e}")
-    rank = int(np.count_nonzero(sing > tol.eps_rank))
+    rank = int(np.count_nonzero(sing > tol.cut(1.0)))
     rows, cols = mat.shape
     u1, v1 = u[:, :rank], v[:, :rank]
     u2, v2 = u[:, rank:], v[:, rank:]
@@ -164,8 +165,8 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     """Recover P from an operator of the form 1_n (x) P.
 
     P is the partial trace over the first factor divided by n; if the
-    reconstruction misses O by more than 10 eps_eq the input did not have
-    tensor form (e.g. it was not an intertwiner) and NotTensorForm is raised.
+    reconstruction misses O at scale 10 the input did not have tensor form
+    (e.g. it was not an intertwiner) and NotTensorForm is raised.
     """
     mat = as_matrix(o)
     n = int(n)
@@ -176,7 +177,8 @@ def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     out = numerics.linear_extension(np.ones(n), diagonal_blocks) / n
     rebuilt = kron(numerics.eye(n), out)
     residual = max_abs(mat - rebuilt)
-    if residual > 10.0 * tol.eps_eq:
+    # |O| <= 1 (a block of isometries); the 10 allows for the normal forms' rounding
+    if not tol.within(residual, 10.0):
         raise NotTensorForm(f"reconstruction residual {residual:.3e}")
     return out
 
@@ -189,18 +191,18 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
     across the block, and those columns, ordered a major, are the rows of R
     for block j.  A killed block contributes none.  It is also the gate: it
     raises NotRepresentation unless the ranks fill C^h and e1 = max|sum_i
-    pi(E_ii) - 1| and e = max_a |R pi(a) R* - B(a)| (B the normal form) are
-    <= eps_eq.  Then ||R R* - 1|| <= f = h (d e + e1) / (1 - h e1), d = sum_j
-    n_j, and for f < 1 check_star_hom's residuals are at most e1 (unital),
-    2 h e / (1 - f) (star) and (3 h e + (h e)^2 + (1 + h e)^2 f / (1 - f)) /
-    (1 - f) (multiplicative), in exact arithmetic.
+    pi(E_ii) - 1| and e = max_a |R pi(a) R* - B(a)| (B the normal form) pass
+    at scale 1, as no multiple of a representation is one.  Then ||R R* - 1||
+    <= f = h (d e + e1) / (1 - h e1), d = sum_j n_j, and for f < 1 the residuals
+    of check_star_hom are at most e1 (unital), 2 h e / (1 - f) (star) and (3 h e
+    + (h e)^2 + (1 + h e)^2 f / (1 - f)) / (1 - f) (multiplicative), exactly.
     """
     images = as_stack(pi_images, algebra.dim)
     h = images.shape[1]
     if h < 1:
         raise DegenerateDimension(f"h={h}; must be >= 1")
     unit = max_abs(images[algebra._unit_tables[2]].sum(axis=0) - numerics.eye(h))
-    if unit > tol.eps_eq:
+    if not tol.within(unit):
         raise NotRepresentation(f"unit residual {unit:.3e}")
     mults, columns = [], []
     for n, offset in zip(algebra.blocks, algebra._offsets):
@@ -217,18 +219,9 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
         raise NotRepresentation("the ranges of the pi(E_00) do not fill the carrier")
     r = dagger(np.concatenate(columns, axis=1))
     worst = max_abs(r @ images @ dagger(r) - boxplus_rep_images(algebra, mults))
-    if worst > tol.eps_eq:
+    if not tol.within(worst):
         raise NotRepresentation(f"normal form residual {worst:.3e}")
     return tuple(mults), r
-
-
-def restriction_mismatch(rep1: AnchoredRep, rep2: AnchoredRep) -> float:
-    """Largest entry of the difference of the two restrictions, relative to
-    the larger largest entry of the two (0 when both vanish)."""
-    phi1 = restrict(rep1).basis_images
-    phi2 = restrict(rep2).basis_images
-    scale = max(max_abs(phi1), max_abs(phi2))
-    return max_abs(phi1 - phi2) / scale if scale > 0.0 else 0.0
 
 
 def connecting_morphism(
@@ -239,14 +232,17 @@ def connecting_morphism(
     L composes the adjoint of the mediating isometry into rep1 with the
     mediating isometry into rep2, both taken from one canonical dilation of
     the shared restriction; its initial space is the reachable subspace of
-    rep1 and it maps it unitarily onto the reachable subspace of rep2.
+    rep1 and it maps it unitarily onto the reachable subspace of rep2.  The
+    two restrictions must agree at the scale of the larger one.
     """
     if rep1.algebra.blocks != rep2.algebra.blocks or rep1.k != rep2.k:
         raise ShapeMismatch("representations anchor different spaces")
-    mismatch = restriction_mismatch(rep1, rep2)
-    if mismatch > tol.eps_eq:
-        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e} of their largest entry")
-    cert = stinespring_dilate(restrict(rep1), tol, check_cp=False)
+    phi1, phi2 = restrict(rep1), restrict(rep2)
+    mismatch = max_abs(phi1.basis_images - phi2.basis_images)
+    scale = max(max_abs(phi1.basis_images), max_abs(phi2.basis_images))
+    if not tol.within(mismatch, scale):
+        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e} at scale {scale:.3e}")
+    cert = stinespring_dilate(phi1, tol, check_cp=False)
     m1 = mediating_morphism(rep1, cert=cert)
     m2 = mediating_morphism(rep2, cert=cert)
     return RepMorphism(numerics.eye(rep1.k), m2.L @ dagger(m1.L))
@@ -344,15 +340,13 @@ def purification_residuals(u, rep1: AnchoredRep, rep2: AnchoredRep) -> dict:
 
 def _verify_purification(u, rep1, rep2, tol: Tolerance, require_unitary: bool):
     """Refuse U unless it intertwines, carries V onto W and, when asked, is
-    unitary.  The anchor residual |U V - W| is taken relative to the larger
-    largest entry of the two anchors (0 when both vanish), as in
-    restriction_mismatch, so the decision does not move when both anchors
-    are rescaled; the other residuals are scale-free already."""
+    unitary.  The anchor residual |U V - W| is weighed against the larger
+    anchor, so rescaling both anchors moves no decision; the other residuals
+    are scale-free.  Each at 10 times its scale, as in tensor_factor_extract."""
     res = purification_residuals(u, rep1, rep2)
-    bound = 10.0 * tol.eps_eq
-    scale = max(max_abs(rep1.V), max_abs(rep2.V))
-    anchor = res["anchor"] / scale if scale > 0.0 else 0.0
-    if res["intertwine"] > bound or anchor > bound:
+    anchor_scale = 10.0 * max(max_abs(rep1.V), max_abs(rep2.V))
+    if not (tol.within(res["intertwine"], 10.0) and tol.within(res["anchor"], anchor_scale)):
         raise DilatoryError(f"purification residuals too large: {res}")
-    if require_unitary and max(res["isometry_defect"], res["coisometry_defect"]) > bound:
+    unitary = max(res["isometry_defect"], res["coisometry_defect"])
+    if require_unitary and not tol.within(unitary, 10.0):
         raise NotEquivalent(f"assembled map is not unitary: {res}")

@@ -6,7 +6,7 @@ morphism, the comparison triangle for algebra maps, oplax composition, dagger
 laws, and the objectwise universal property of the adjunction.  Each checker
 takes the dilation certificates its law speaks about, reads the dilated maps
 off them and builds the transports it needs itself, and returns a LawReport
-whose pass flag is equivalent to its residual being below eps_eq.  The default
+whose pass flag is the tolerance's residual test at scale 1.  The default
 suite dilates each sampled map once, transports each sampled morphism once,
 gates each sampled homomorphism once and builds each mediating morphism once,
 handing them to the checkers' bodies, and mixes positive ensembles with
@@ -71,7 +71,7 @@ CONTROL_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class LawReport:
-    """One verified law: name, worst residual, and offending inputs if any."""
+    """One verified law: name, worst residual (at scale 1), and witnesses."""
 
     name: str
     max_residual: float
@@ -85,7 +85,7 @@ class LawReport:
 
     @staticmethod
     def from_residual(name: str, residual: float, tol: Tolerance, witness: str = ""):
-        ok = residual <= tol.eps_eq
+        ok = tol.within(residual)
         witnesses = () if ok or not witness else (witness,)
         return LawReport(name, float(residual), ok, witnesses)
 
@@ -232,7 +232,7 @@ def check_dagger(entries, tol: Tolerance = DEFAULT_TOL) -> LawReport:
                 residual,
                 max_abs(dagger(composite.T) - dagger(f_.T) @ dagger(g.T)),
             )
-    ok = residual <= tol.eps_eq and not witnesses
+    ok = tol.within(residual) and not witnesses
     return LawReport("dagger", float(residual), ok, tuple(witnesses))
 
 
@@ -319,7 +319,7 @@ def counterexample_suite(tol: Tolerance = DEFAULT_TOL) -> LawReport:
         witnesses.append(f"second counterexample violation {violation2:.3f} < 0.4")
         residual = max(residual, 0.4 - violation2)
 
-    ok = residual <= tol.eps_eq and not witnesses
+    ok = tol.within(residual) and not witnesses
     return LawReport("counterexamples", float(residual), ok, tuple(witnesses))
 
 

@@ -40,24 +40,42 @@ _MACHINE_EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical cutoffs: ``eps_rank`` for spectra, ``eps_eq`` for residuals.
+    """The one accept/reject rule.  A residual passes when it is at most
+    eps_eq times a scale its caller names, the size of what it compares, so
+    no verdict moves when the inputs are rescaled (backward error: Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 1-2); a spectral
+    value counts above eps_rank times its spectrum's top, or a caller's
+    floor.  eps_eq is finite, as inf * 0 is NaN.  The scales, m = max|.|:
 
-    ``eps_rank`` is a relative spectral cutoff (an eigenvalue below
-    eps_rank * lambda_max counts as zero), so it lies in [machine epsilon, 1):
-    a cutoff of 1 or more would zero every spectrum.  ``eps_eq`` bounds
-    max-abs residuals in equality tests.
+    - T: phi -> psi: m(T) max(m(phi), m(psi)) (is_ocp_morphism, diagram 22),
+      max(m(T)^2 m(phi), m(psi)) (diagram 23), phi and psi swapped (24);
+    - (T, L): (pi, V) -> (rho, W): m(L) max(m(pi), m(rho)) (intertwine),
+      max(m(L) m(V), m(W) m(T)) (squareV), max(m(T) m(V), m(W) m(L)) (squareVstar);
+    - m of the input (hermitian_eig, CP self-adjointness), of the larger
+      restriction (connecting_morphism), 10 m of the larger anchor (purification);
+    - cuts of lambda_max (CP gate, dilation rank, rank_unstable), s_max
+      (is_minimal), commutant's top, floored at its rounding;
+    - 1 where rescaling changes the right answer (the *-hom gate, units,
+      isometries, partial isometries, extensions, the normal form,
+      LawReport); 10 for tensor_factor_extract and the purification.
     """
 
     eps_rank: float = 1e-9
     eps_eq: float = 1e-9
 
     def __post_init__(self):
-        if not (self.eps_rank > 0.0 and self.eps_eq > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.eps_rank < _MACHINE_EPS:
-            raise ValueError("eps_rank below machine epsilon")
-        if self.eps_rank >= 1.0:
-            raise ValueError("eps_rank must be below 1; a relative cutoff of 1 zeroes every spectrum")
+        if not 0.0 < self.eps_eq < np.inf:
+            raise ValueError("eps_eq must be positive and finite")
+        if not _MACHINE_EPS <= self.eps_rank < 1.0:
+            raise ValueError("eps_rank must lie in [machine epsilon, 1): 1 zeroes every spectrum")
+
+    def within(self, residual, scale: float = 1.0):
+        """The residual test: residual <= eps_eq * scale (elementwise on arrays)."""
+        return residual <= self.eps_eq * scale
+
+    def cut(self, top: float, floor: float = 0.0) -> float:
+        """The spectral cut max(eps_rank * top, floor); a value counts above it."""
+        return max(self.eps_rank * top, floor)
 
 
 DEFAULT_TOL = Tolerance()
@@ -178,18 +196,16 @@ def hermitian_eig(m, tol: Tolerance = DEFAULT_TOL):
     ``u`` the matching orthonormal eigenvector columns, phase-fixed.  Ties in
     the sorted spectrum keep the decomposition's native column order.
 
-    Raises NotHermitian when the symmetry residual exceeds ``eps_eq`` times
-    the largest entry (so the test does not change when the matrix is
-    rescaled, and a zero matrix passes) and ConvergenceFailure if the
-    underlying iteration fails.
+    Raises NotHermitian when the symmetry residual fails the tolerance at
+    the scale of the largest entry (so a zero matrix passes) and
+    ConvergenceFailure if the underlying iteration fails.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"matrix is {a.shape}, not square")
-    sym = max_abs(a - dagger(a))
-    bound = tol.eps_eq * max_abs(a)
-    if sym > bound:
-        raise NotHermitian(f"symmetry residual {sym:.3e} exceeds {bound:.3e}")
+    sym, scale = max_abs(a - dagger(a)), max_abs(a)
+    if not tol.within(sym, scale):
+        raise NotHermitian(f"symmetry residual {sym:.3e} at largest entry {scale:.3e}")
     try:
         w, u = np.linalg.eigh(0.5 * (a + dagger(a)))
     except np.linalg.LinAlgError as exc:

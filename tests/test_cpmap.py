@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dilatory.algebra import AlgebraElement, FdCStarAlgebra, matrix_units
 from dilatory.cpmap import (
@@ -250,6 +251,22 @@ def test_example_27_morphism_and_variants():
     assert ok
     report = check_morphism_variants(t, phi, psi, TOL)
     assert (report.diagram_23, report.diagram_22, report.diagram_24) == (False, True, True)
+
+
+@settings(deadline=None, max_examples=30)
+@given(log_s=st.floats(-12.0, 12.0))
+@example(log_s=-12.0)
+@example(log_s=12.0)
+def test_counterexample_patterns_hold_at_every_scale(log_s):
+    # every diagram is homogeneous in (phi, psi), so s phi, s psi keep the pattern
+    s = 10.0**log_s
+    for (phi, psi, t), pattern in (
+        (example_27(), (False, True, True)),
+        (example_28(), (False, False, True)),
+    ):
+        scaled = [OcpMap(m.domain, m.k, s * m.basis_images) for m in (phi, psi)]
+        report = check_morphism_variants(t, *scaled, TOL)
+        assert (report.diagram_23, report.diagram_22, report.diagram_24) == pattern
 
 
 def test_example_28_fails_morphism():

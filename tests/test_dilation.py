@@ -13,6 +13,7 @@ from dilatory.cpmap import (
     OcpMap,
     ad_map,
     apply,
+    is_ocp_morphism,
     kraus_map,
     pullback,
     tracial_map,
@@ -831,3 +832,56 @@ def test_large_multiples_dilate_like_the_map(s):
     scaled = stinespring_dilate(OcpMap(phi.domain, 3, tuple(s * m for m in phi.basis_images)), TOL)
     assert base.dimension == scaled.dimension == 15
     np.testing.assert_array_equal(np.stack(scaled.rep.pi_images), np.stack(base.rep.pi_images))
+    # the mediating morphism of the canonical dilation onto itself, (1, 1)
+    self_med = mediating_morphism(scaled.rep, cert=scaled)
+    assert is_rep_morphism(self_med, scaled.rep, scaled.rep, TOL).ok
+
+
+def _scaled_map(phi, s):
+    return OcpMap(phi.domain, phi.k, s * phi.basis_images)
+
+
+# phi on M_2 (+) M_3, k = 3, Kraus rank 3, and two random unitaries: X is a
+# morphism from phi to X phi(.) X*, Y is no morphism from phi to itself
+_RNG = rng_for(3, 0)
+_PHI = random_cp_map(_RNG, (2, 3), 3, kraus_rank=3)
+_X, _Y = random_unitary(_RNG, 3), random_unitary(_RNG, 3)
+_PSI = OcpMap(_PHI.domain, 3, _X @ _PHI.basis_images @ _X.conj().T)
+LOG_SCALES = st.floats(-12.0, 12.0)
+
+
+@settings(deadline=None, max_examples=30)
+@given(log_s=LOG_SCALES)
+@example(log_s=-12.0)
+@example(log_s=12.0)
+def test_morphism_gate_and_transport_are_scale_free(log_s):
+    # T s phi = s psi T holds for every s > 0 exactly when T phi = psi T
+    phi, psi = _scaled_map(_PHI, 10.0**log_s), _scaled_map(_PSI, 10.0**log_s)
+    assert is_ocp_morphism(_X, phi, psi, TOL)[0]
+    assert not is_ocp_morphism(_Y, phi, phi, TOL)[0]
+    src, dst = stinespring_dilate(phi, TOL), stinespring_dilate(psi, TOL)
+    l_x = stine_on_morphism(_X, TOL, src_cert=src, dst_cert=dst)
+    assert is_rep_morphism(l_x, src.rep, dst.rep, TOL).ok
+    with pytest.raises(NotMorphism):
+        stine_on_morphism(_Y, TOL, src_cert=src, dst_cert=src)
+
+
+@settings(deadline=None, max_examples=30)
+@given(log_s=LOG_SCALES, seed=st.integers(0, 2**16))
+@example(log_s=-12.0, seed=0)
+@example(log_s=12.0, seed=0)
+def test_universal_property_holds_at_every_scale(log_s, seed):
+    # rescaling phi by s rescales every anchor by sqrt(s) and keeps every
+    # intertwiner: the counit, the mediating morphism of the canonical
+    # dilation onto itself and the factorization of X into an inflated target
+    rng = rng_for(seed, 0)
+    phi, psi = _scaled_map(_PHI, 10.0**log_s), _scaled_map(_PSI, 10.0**log_s)
+    cert, cert_psi = stinespring_dilate(phi, TOL), stinespring_dilate(psi, TOL)
+    inflated = inflate_rep(rng, cert, [1, 1])
+    counit = mediating_morphism(inflated, cert=cert)
+    assert is_rep_morphism(counit, cert.rep, inflated, TOL).ok
+    self_med = mediating_morphism(cert.rep, cert=cert)
+    assert is_rep_morphism(self_med, cert.rep, cert.rep, TOL).ok
+    target = inflate_rep(rng, cert_psi, [1, 0])
+    univ = universal_factorization(_X, target, TOL, cert=cert)
+    assert is_rep_morphism(univ, cert.rep, target, TOL).ok

@@ -771,6 +771,16 @@ def test_extension_takes_one_svd(monkeypatch):
     assert (len(full), len(right)) == (1, 0)
 
 
+def test_is_extension_takes_one_svd(monkeypatch):
+    # only L's initial space needs singular vectors; M is decided by its residual
+    right = _spy(monkeypatch, numerics, "right_singular")
+    rng = rng_for(82, 0)
+    for rows, cols, rank in ((3, 3, 2), (4, 2, 1), (2, 5, 2)):
+        l = random_partial_isometry(rng, rows, cols, rank)
+        assert is_extension(l, extend_partial_isometry(l, TOL), TOL)
+    assert len(right) == 3
+
+
 PERTURBATIONS = ("gaussian", "hermitian", "similarity", "scaling")
 
 

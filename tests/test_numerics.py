@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dilatory import numerics
 from dilatory.errors import NotHermitian, ShapeMismatch
 from dilatory.numerics import (
     Tolerance,
@@ -45,6 +49,9 @@ def test_tolerance_validation():
         Tolerance(eps_eq=-1.0)
     with pytest.raises(ValueError):
         Tolerance(eps_rank=1e-30)
+    # eps_eq = inf would pass every residual, and inf * 0 is NaN
+    with pytest.raises(ValueError):
+        Tolerance(eps_eq=float("inf"))
 
 
 def test_tolerance_rejects_relative_cutoff_of_one():
@@ -54,6 +61,25 @@ def test_tolerance_rejects_relative_cutoff_of_one():
     with pytest.raises(ValueError):
         Tolerance(eps_rank=10.0)
     assert Tolerance(eps_rank=0.5, eps_eq=10.0).eps_eq == 10.0
+
+
+def test_only_numerics_reads_the_tolerance_fields():
+    # every gate decides through Tolerance.within or Tolerance.cut; only
+    # serialize.encode_tolerance may read the fields, to write them out
+    offenders = []
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if path.name == "serialize.py" and getattr(node, "name", None) == "encode_tolerance":
+                allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("eps_eq", "eps_rank"):
+                if id(node) not in allowed:
+                    offenders.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert offenders == []
 
 
 def test_as_matrix_rejects_nonfinite():
