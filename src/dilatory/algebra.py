@@ -7,10 +7,11 @@ a unital *-homomorphism by its (target.dim, source.dim) coefficient matrix,
 and the CP maps and representations of the other modules by one
 (dim, m, m) stack.  Finiteness is checked once, where caller data enters
 (the constructors and ``numerics.as_matrix``/``as_stack``), never again on
-arrays the package built.  The *-hom gate multiplies one row of basis
-images against the whole stack at a time and reads the expected products
-from index tables built once per algebra.  The commutant of a generating
-set is solved block by block in the eigenbasis of one generic element.
+arrays the package built.  The *-hom gate checks the matrix-unit
+presentation of each block, 2 n^2 products per block M_n instead of all
+dim^2 products of basis images, and one unit check covers all blocks.  The
+commutant of a generating set is solved block by block in the eigenbasis
+of one generic element.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ class FdCStarAlgebra:
 
     def basis_index(self, j: int, a: int, b: int) -> int:
         return self._offsets[j] + a * self.blocks[j] + b
-
-    @cached_property
-    def _unit_tables(self):
-        """How the matrix units multiply, as index arrays built on first use.
-
-        product[alpha, beta] is the index of b_alpha b_beta, or -1 when the
-        product is 0 (unit_product_index for all pairs at once); star[alpha]
-        is that of b_alpha*; diagonal lists the units E^{(j)}_{aa}, which
-        sum to 1.
-        """
-        j, a, b = np.array(self._labels).T
-        offset, n = np.array(self._offsets)[j], np.array(self.blocks)[j]
-        meets = (j[:, None] == j[None, :]) & (b[:, None] == a[None, :])
-        product = np.where(meets, (offset + a * n)[:, None] + b[None, :], -1)
-        return product, offset + b * n + a, np.flatnonzero(a == b)
 
     @cached_property
     def _embedding(self):
@@ -168,6 +154,11 @@ def element_from_coefficients(algebra: FdCStarAlgebra, coeffs) -> AlgebraElement
 def matrix_units(algebra: FdCStarAlgebra) -> list[AlgebraElement]:
     """Matrix-unit basis E^{(j)}_{ab}, block-major then row-major."""
     return [element_from_coefficients(algebra, e) for e in numerics.eye(algebra.dim)]
+
+
+def diagonal_units(algebra: FdCStarAlgebra) -> np.ndarray:
+    """Basis indices of the diagonal units E^{(j)}_{aa}, which sum to 1."""
+    return np.array([i for i, (_, a, b) in enumerate(algebra._labels) if a == b])
 
 
 def unit_product_index(algebra: FdCStarAlgebra, alpha: int, beta: int):
@@ -282,29 +273,47 @@ class StarHomReport:
 
 
 def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
-    """Verify unitality, multiplicativity, and *-preservation on the basis.
+    """Verify unitality, multiplicativity, and *-preservation on the presentation.
 
-    On the embedded images P, multiplicativity is P[alpha] @ P[beta] =
-    P[gamma] on all basis pairs, gamma from the delta product rule (a zero
-    image where the product of units vanishes), computed one row alpha at a
-    time against the whole stack; unitality is tested on the unit and the
-    star condition on every basis element; linearity holds structurally.
-    Scale 1: no multiple of a *-homomorphism is one.
+    Write P^j_ab for the embedded image of E^{(j)}_ab, an N x N matrix.  M_n
+    is presented by its matrix units (Davidson, C*-Algebras by Example,
+    III.2), so per block the gate checks P_ab = P_a0 P_0b and P_0a P_b0 =
+    delta_ab P_00 (two broadcast products, 2 n^2 in all; r is the largest
+    residual) and P_ab* = P_ba (s); e1 = max|sum_j sum_a P^j_aa - 1| covers
+    all blocks.  Linearity holds structurally.  Scale 1: no multiple of a
+    *-homomorphism is one.
+
+    The checked products are a subset of all dim^2 pairs, so r is at most
+    the pairwise residual max|P_alpha P_beta - P_(alpha beta)|, and the
+    unital and star residuals are the pairwise check's own.  Conversely,
+    with mu = max ||P_alpha||_2 (1 for a *-homomorphism), d = sum_j n_j,
+    rho = N r, sigma = N s, eps = N e1 (||X||_2 <= N max|X|) and c = 1 + 2 mu
+    + 2 mu^2, every product within a block is off by at most c rho.  The
+    Hermitian parts H_i of the d diagonal units obey ||H_i^2 - H_i|| <= eta
+    = c rho + sigma (mu + 1/2 + sigma / 4) and sum to 1 within eps, so for
+    i != k, ||H_i H_k|| <= delta0 = sqrt(mu^2 eps + mu (1 + (d - 1) mu) eta),
+    and when (d - 2) delta0 < 1 also <= (mu^2 eps + 2 mu eta) / (1 - (d - 2)
+    delta0); let delta be the smaller.  A product across blocks is then off
+    by at most mu^2 (delta + mu sigma + sigma^2 / 4) + 2 mu^2 c rho + c^2
+    rho^2.  The pairwise residual is at most the larger of the two bounds.
     """
     src = f.source
-    product, star, diagonal = src._unit_tables
     images = f.embedded_images()
     unit = np.zeros(src.dim)
-    unit[diagonal] = 1.0
+    unit[diagonal_units(src)] = 1.0
     unit_res = max_abs(linear_extension(unit, images) - numerics.eye(images.shape[1]))
 
-    # index -1 of the padded stack is the zero image
-    padded = np.concatenate([images, np.zeros_like(images[:1])])
-    mult_res = 0.0
-    for alpha in range(src.dim):
-        mult_res = max(mult_res, max_abs(images[alpha] @ images - padded[product[alpha]]))
-
-    star_res = max_abs(np.conj(images).transpose(0, 2, 1) - images[star])
+    mult_res = star_res = 0.0
+    for n, offset in zip(src.blocks, src._offsets):
+        # p[a, b] is P_ab of this block
+        p = images[offset : offset + n * n].reshape((n, n) + images.shape[1:])
+        through = p[:, :1] @ p[:1]
+        through -= p
+        back = p[0][:, None] @ p[:, 0][None]
+        # the diagonal (a, a) of the fresh (n, n, N, N) product, as a view
+        back.reshape((n * n,) + images.shape[1:])[:: n + 1] -= p[0, 0]
+        mult_res = max(mult_res, max_abs(through), max_abs(back))
+        star_res = max(star_res, max_abs(np.conj(p).transpose(1, 0, 3, 2) - p))
     return StarHomReport(
         unital=tol.within(unit_res),
         multiplicative=tol.within(mult_res),

@@ -94,7 +94,9 @@ def pi_apply(rep: AnchoredRep, a: AlgebraElement) -> np.ndarray:
 
 
 def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
-    """check_star_hom applied to the induced map A -> M_h."""
+    """check_star_hom applied to the induced map A -> M_h: the matrix-unit
+    presentation of each block and the unit, whose residuals bound those of
+    all pairs of images as its docstring states."""
     return check_star_hom(representation_hom(rep.algebra, rep.pi_images), tol)
 
 
@@ -395,10 +397,3 @@ def minimal_unitary(
     if not tol.within(defect):
         raise NotMinimal(f"mediating morphism is not unitary; defect {defect:.3e}")
     return morphism
-
-
-def gns(omega: OcpMap, tol: Tolerance = DEFAULT_TOL) -> DilationCertificate:
-    """Dilation of a positive linear functional (k = 1) with cyclic vector."""
-    if omega.k != 1:
-        raise ShapeMismatch("GNS expects a scalar-valued map (k = 1)")
-    return stinespring_dilate(omega, tol)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .algebra import FdCStarAlgebra, boxplus_rep_images
+from .algebra import FdCStarAlgebra, boxplus_rep_images, diagonal_units
 from .dilation import (
     AnchoredRep,
     RepMorphism,
@@ -194,14 +194,15 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
     pi(E_ii) - 1| and e = max_a |R pi(a) R* - B(a)| (B the normal form) pass
     at scale 1, as no multiple of a representation is one.  Then ||R R* - 1||
     <= f = h (d e + e1) / (1 - h e1), d = sum_j n_j, and for f < 1 the residuals
-    of check_star_hom are at most e1 (unital), 2 h e / (1 - f) (star) and (3 h e
-    + (h e)^2 + (1 + h e)^2 f / (1 - f)) / (1 - f) (multiplicative), exactly.
+    of the check over all pairs of basis images, which bound check_star_hom's,
+    are at most e1 (unital), 2 h e / (1 - f) (star) and (3 h e + (h e)^2 +
+    (1 + h e)^2 f / (1 - f)) / (1 - f) (multiplicative), exactly.
     """
     images = as_stack(pi_images, algebra.dim)
     h = images.shape[1]
     if h < 1:
         raise DegenerateDimension(f"h={h}; must be >= 1")
-    unit = max_abs(images[algebra._unit_tables[2]].sum(axis=0) - numerics.eye(h))
+    unit = max_abs(images[diagonal_units(algebra)].sum(axis=0) - numerics.eye(h))
     if not tol.within(unit):
         raise NotRepresentation(f"unit residual {unit:.3e}")
     mults, columns = [], []

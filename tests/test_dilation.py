@@ -23,7 +23,6 @@ from dilatory.cpmap import (
 from dilatory.dilation import (
     AnchoredRep,
     _span_columns,
-    gns,
     gram_matrix,
     is_minimal,
     is_preserving,
@@ -236,7 +235,7 @@ def test_restrict_zero_anchor():
 def test_restrict_gns_form():
     # k = 1: the restriction is the vector state of the cyclic vector
     omega = tracial_map(2, 1)
-    cert = gns(omega, TOL)
+    cert = stinespring_dilate(omega, TOL)
     vec = cert.cyclic_vector()
     for alpha, img in enumerate(cert.rep.pi_images):
         expected = vec.conj() @ img @ vec
@@ -425,7 +424,7 @@ def test_mediating_morphism_inclusion_into_inflation():
 def test_mediating_morphism_gns_formula():
     # k = 1: m sends [a] to pi(a) Omega
     omega = tracial_map(2, 1)
-    cert = gns(omega, TOL)
+    cert = stinespring_dilate(omega, TOL)
     rng = rng_for(37, 0)
     inflated = inflate_rep(rng, cert, [1])
     med = mediating_morphism(inflated, cert=cert)
@@ -550,8 +549,8 @@ def test_minimal_unitary_canonical_and_conjugated():
 
 
 def test_gns_dimensions():
-    assert gns(tracial_map(2, 1), TOL).dimension == 4
-    assert gns(tracial_map(3, 1), TOL).dimension == 9
+    assert stinespring_dilate(tracial_map(2, 1), TOL).dimension == 4
+    assert stinespring_dilate(tracial_map(3, 1), TOL).dimension == 9
     # pure state <e1, . e1> on M_n has GNS dimension n
     for n in (2, 3):
         algebra = FdCStarAlgebra((n,))
@@ -559,17 +558,12 @@ def test_gns_dimensions():
         for _, a, b in algebra.basis_labels():
             images.append(np.array([[1.0 if a == 0 and b == 0 else 0.0]], dtype=complex))
         omega = OcpMap(algebra, 1, tuple(images))
-        cert = gns(omega, TOL)
+        cert = stinespring_dilate(omega, TOL)
         assert cert.dimension == n
         assert spectral_rank(brute_force_gram(omega)) == n
     # a state on C is one-dimensional
     scalar_state = OcpMap(FdCStarAlgebra((1,)), 1, (np.array([[1.0]], dtype=complex),))
-    assert gns(scalar_state, TOL).dimension == 1
-
-
-def test_gns_rejects_operator_valued():
-    with pytest.raises(ShapeMismatch):
-        gns(tracial_map(2, 2), TOL)
+    assert stinespring_dilate(scalar_state, TOL).dimension == 1
 
 
 def test_v_dual_formula():

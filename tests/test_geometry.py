@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dilatory.algebra import FdCStarAlgebra, check_star_hom, matrix_units, representation_hom
+from dilatory.algebra import (
+    FdCStarAlgebra,
+    check_star_hom,
+    diagonal_units,
+    matrix_units,
+    representation_hom,
+)
 from dilatory import numerics
 from dilatory.cpmap import kraus_map, tracial_map
 from dilatory.dilation import (
@@ -47,6 +53,7 @@ from dilatory.randgen import (
     random_unitary,
     rng_for,
 )
+from test_stacked import _loop_check_star_hom, _perturbed
 
 TOL = Tolerance()
 
@@ -784,25 +791,9 @@ def test_is_extension_takes_one_svd(monkeypatch):
 PERTURBATIONS = ("gaussian", "hermitian", "similarity", "scaling")
 
 
-def _perturbed(rng, images, algebra, kind, delta):
-    """pi plus a perturbation of size delta: an independent Gaussian per
-    image, one that keeps pi(a*) = pi(a)* (Hermitian), S pi S^-1 with
-    S = 1 + delta X (keeps the products), or (1 + delta) pi."""
-    dim, h, _ = images.shape
-    if kind == "similarity":
-        s = np.eye(h) + delta * complex_gaussian(rng, h, h)
-        return s @ images @ np.linalg.inv(s)
-    if kind == "scaling":
-        return (1.0 + delta) * images
-    g = np.stack([complex_gaussian(rng, h, h) for _ in range(dim)])
-    if kind == "hermitian":
-        g = g + np.conj(g[algebra._unit_tables[1]]).transpose(0, 2, 1)
-    return images + delta * g
-
-
 def _gate_bounds(e, e1, h, d):
-    """normal_form_general_rep's docstring bounds on check_star_hom's
-    residuals, from the normal form residual e and the unit residual e1."""
+    """normal_form_general_rep's docstring bounds on the pairwise *-hom
+    check's residuals, from the normal form residual e and the unit residual e1."""
     f = h * (d * e + e1) / (1.0 - h * e1)
     he = h * e
     return {
@@ -821,8 +812,9 @@ def _gate_bounds(e, e1, h, d):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_normal_form_acceptance_bounds_the_star_hom_gate(blocks, junk, kind, log_delta, seed):
-    # check_star_hom is the reference: whatever the normal form accepts, the
-    # gate's residuals are within the bounds of its docstring (plus rounding)
+    # the pairwise *-hom check is the reference: whatever the normal form
+    # accepts, its residuals are within the bounds of the docstring (plus
+    # rounding); check_star_hom's own multiplicative residual is smaller
     rng = np.random.default_rng(seed)
     _, _, rep, _ = random_dilation_pair(rng, blocks, 2, TOL, junk[: len(blocks)])
     algebra = rep.algebra
@@ -833,9 +825,9 @@ def test_normal_form_acceptance_bounds_the_star_hom_gate(blocks, junk, kind, log
         return
     h = images.shape[1]
     e = max_abs(r @ images @ r.conj().T - boxplus_rep_images(algebra, mults))
-    e1 = max_abs(sum(images[i] for i in algebra._unit_tables[2]) - np.eye(h))
+    e1 = max_abs(sum(images[i] for i in diagonal_units(algebra)) - np.eye(h))
     bounds = _gate_bounds(e, e1, h, sum(algebra.blocks))
-    residuals = check_star_hom(representation_hom(algebra, images), TOL).residuals
+    residuals = _loop_check_star_hom(representation_hom(algebra, images), TOL)[1]
     for name, bound in bounds.items():
         assert residuals[name] <= bound + 16 * h * np.finfo(float).eps, name
 
