@@ -5,13 +5,18 @@ M_{n_1} + ... + M_{n_t}.  Elements are stored blockwise.  A linear map out
 of an algebra is stored by its values on the matrix-unit basis as one array:
 a unital *-homomorphism by its (target.dim, source.dim) coefficient matrix,
 and the CP maps and representations of the other modules by one
-(dim, m, m) stack.  Finiteness is checked once, where caller data enters
-(the constructors and ``numerics.as_matrix``/``as_stack``), never again on
-arrays the package built.  The *-hom gate checks the matrix-unit
-presentation of each block, 2 n^2 products per block M_n instead of all
-dim^2 products of basis images, and one unit check covers all blocks.  The
-commutant of a generating set is solved block by block in the eigenbasis
-of one generic element.
+(dim, m, m) stack.  Caller data is checked once, where it enters: the
+constructors (``AlgebraElement``, ``StarHom`` and those of the other
+modules) and the entry points that take a caller's matrix coerce it with
+``numerics.as_matrix``/``as_stack``, and the CLI reads documents through
+the ``serialize`` decoders.  Arrays the package built, or that a
+constructor has checked, are never re-checked.  The *-hom gate checks the
+matrix-unit presentation of each block, 2 n^2 products per block M_n
+instead of all dim^2 products of basis images, and one unit check covers
+all blocks; ``dilation.validate_rep`` runs it on a representation's images
+as the representation holds them, with no copy.  The commutant of a
+generating set is solved block by block in the eigenbasis of one generic
+element.
 """
 
 from __future__ import annotations
@@ -297,8 +302,12 @@ def check_star_hom(f: StarHom, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
     by at most mu^2 (delta + mu sigma + sigma^2 / 4) + 2 mu^2 c rho + c^2
     rho^2.  The pairwise residual is at most the larger of the two bounds.
     """
-    src = f.source
-    images = f.embedded_images()
+    return _check_presentation(f.source, f.embedded_images(), tol)
+
+
+def _check_presentation(src: FdCStarAlgebra, images: np.ndarray, tol: Tolerance):
+    """check_star_hom's test on the (src.dim, N, N) images P_alpha as given:
+    dilation.validate_rep passes a representation's images as it holds them."""
     unit = np.zeros(src.dim)
     unit[diagonal_units(src)] = 1.0
     unit_res = max_abs(linear_extension(unit, images) - numerics.eye(images.shape[1]))
@@ -371,7 +380,7 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     weights = 0.5 + np.modf(np.arange(1, 2 * len(stack) + 1) * (1.0 + 5.0**0.5) / 2.0)[0]
     z = 0.5 * (weights[0::2] - 1j * weights[1::2])
     t = np.tensordot(z, stack, axes=1)
-    lam, u = numerics.hermitian_eig(t + dagger(t), tol)
+    lam, u = numerics.hermitian_eig(t + dagger(t))
     edges = np.flatnonzero(np.abs(np.diff(lam)) > _CLUSTER_GAP * max_abs(lam)) + 1
     starts = np.concatenate(([0], edges))
     sizes = np.diff(np.concatenate((starts, [n])))

@@ -45,10 +45,9 @@ from .algebra import (
     FdCStarAlgebra,
     StarHom,
     StarHomReport,
+    _check_presentation,
     boxplus_rep_images,
-    check_star_hom,
     element_from_coefficients,
-    representation_hom,
 )
 from .cpmap import OcpMap, choi_blocks, is_completely_positive, is_ocp_morphism
 from .errors import (
@@ -94,10 +93,12 @@ def pi_apply(rep: AnchoredRep, a: AlgebraElement) -> np.ndarray:
 
 
 def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
-    """check_star_hom applied to the induced map A -> M_h: the matrix-unit
+    """check_star_hom's verdict on the induced map A -> M_h: the matrix-unit
     presentation of each block and the unit, whose residuals bound those of
-    all pairs of images as its docstring states."""
-    return check_star_hom(representation_hom(rep.algebra, rep.pi_images), tol)
+    all pairs of images as its docstring states.  M_h is one block, so the
+    images are checked as the rep holds them, with no copy and no second
+    finiteness scan (the constructor made that one)."""
+    return _check_presentation(rep.algebra, rep.pi_images, tol)
 
 
 def is_preserving(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:

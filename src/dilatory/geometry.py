@@ -35,7 +35,6 @@ from .errors import (
     DilatoryError,
     NotEquivalent,
     NotExtension,
-    NotHermitian,
     NotPartialIsometry,
     NotRepresentation,
     NotTensorForm,
@@ -190,10 +189,12 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
     eigensolve per block); the units pi(E^j_a0) carry its orthonormal basis
     across the block, and those columns, ordered a major, are the rows of R
     for block j.  A killed block contributes none.  It is also the gate: it
-    raises NotRepresentation unless the ranks fill C^h and e1 = max|sum_i
-    pi(E_ii) - 1| and e = max_a |R pi(a) R* - B(a)| (B the normal form) pass
-    at scale 1, as no multiple of a representation is one.  Then ||R R* - 1||
-    <= f = h (d e + e1) / (1 - h e1), d = sum_j n_j, and for f < 1 the residuals
+    raises NotRepresentation unless each P = pi(E^j_00) is Hermitian (the
+    residual max|P - P*| at the scale max|P|; the eigensolve then takes its
+    Hermitian part), the ranks fill C^h, and e1 = max|sum_i pi(E_ii) - 1|
+    and e = max_a |R pi(a) R* - B(a)| (B the normal form) pass at scale 1,
+    as no multiple of a representation is one.  Then ||R R* - 1|| <= f =
+    h (d e + e1) / (1 - h e1), d = sum_j n_j, and for f < 1 the residuals
     of the check over all pairs of basis images, which bound check_star_hom's,
     are at most e1 (unital), 2 h e / (1 - f) (star) and (3 h e + (h e)^2 +
     (1 + h e)^2 f / (1 - f)) / (1 - f) (multiplicative), exactly.
@@ -207,10 +208,14 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
         raise NotRepresentation(f"unit residual {unit:.3e}")
     mults, columns = [], []
     for n, offset in zip(algebra.blocks, algebra._offsets):
-        try:
-            w, u = numerics.hermitian_eig(images[offset], tol)
-        except NotHermitian as exc:
-            raise NotRepresentation(f"pi(E_00) is not Hermitian: {exc}") from exc
+        p = images[offset]
+        skew, scale = max_abs(p - dagger(p)), max_abs(p)
+        if not tol.within(skew, scale):
+            raise NotRepresentation(
+                f"pi(E_00) is not Hermitian: symmetry residual {skew:.3e} "
+                f"at largest entry {scale:.3e}"
+            )
+        w, u = numerics.hermitian_eig(p)
         c = int(np.count_nonzero(w > 0.5))
         mults.append(c)
         # column (a, alpha) is pi(E_a0) u_alpha

@@ -5,9 +5,16 @@ Complex numbers are two-element [re, im] arrays; matrices carry explicit
 basis convention ("block-major,row-major") so files are self-describing.
 Dumping uses sorted keys and repr-exact floats, so a fixed input always
 produces identical bytes and parse(serialize(x)) returns x bit-exactly.
-Sizes ("rows", "cols", "k", "h", "blocks") must be JSON integers; a float
-or a bool there is malformed input, never rounded.  Matrix entries must be
-JSON numbers; null, a bool or a string there is malformed input too.
+
+The decoders are where the CLI's input enters, and each of their checks
+runs once.  Sizes ("rows", "cols", "k", "h", "blocks") must be JSON
+integers; a float or a bool there is malformed input, never rounded.
+``decode_matrix`` walks a matrix's entries once: "rows" rows of "cols"
+[re, im] pairs, each level a JSON array of that length, then only JSON
+numbers among the flattened values (null, a bool, a string or an int beyond
+the float range is malformed input too), converted in one call.  Finiteness
+is left to the ``OcpMap`` and ``AnchoredRep`` constructors the decoders
+build.
 
 The document builders ``matrix_doc``, ``ocp_map_doc``, ``anchored_rep_doc``
 and ``certificate_doc`` leave each matrix's "entries" as its 2-D complex128
@@ -80,29 +87,36 @@ def _size(value) -> int:
 
 
 def decode_matrix(obj) -> np.ndarray:
+    """The complex128 matrix of a matrix object, its entries walked once
+    (see the module docstring)."""
     try:
         rows = _size(obj["rows"])
         cols = _size(obj["cols"])
         entries = obj["entries"]
-        pairs = np.array(entries, dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise MalformedInput(f"bad matrix object: {exc}") from exc
-    # json spells no rows as [] and rows of no entries as [[], ...]
-    shape = (rows, cols, 2) if rows and cols else (rows, cols) if rows else (0,)
-    if pairs.shape != shape:
-        raise MalformedInput(
-            f"matrix entries have shape {pairs.shape}, expected {rows} rows "
-            f"of {cols} [re, im] pairs"
-        )
-    if not (rows and cols):
-        return np.zeros((rows, cols), dtype=np.complex128)
-    # the conversion also reads null, bools and numeric strings; only a JSON
-    # number (int or float, a bool is not one) may be an entry
-    kinds = set(map(type, chain.from_iterable(chain.from_iterable(entries))))
+    bad_shape = f"matrix entries are not {rows} rows of {cols} [re, im] pairs"
+    if not (_arrays_of_length([entries], rows) and _arrays_of_length(entries, cols)):
+        raise MalformedInput(bad_shape)
+    pairs = list(chain.from_iterable(entries))
+    if not _arrays_of_length(pairs, 2):
+        raise MalformedInput(bad_shape)
+    flat = list(chain.from_iterable(pairs))
+    kinds = set(map(type, flat))
     if not kinds <= {int, float}:
         names = ", ".join(sorted(k.__name__ for k in kinds - {int, float}))
         raise MalformedInput(f"bad matrix object: entries of type {names} are not JSON numbers")
-    return pairs.view(np.complex128).reshape(rows, cols)
+    try:
+        values = np.array(flat, dtype=np.float64)
+    except OverflowError as exc:
+        raise MalformedInput(f"bad matrix object: {exc}") from exc
+    return values.view(np.complex128).reshape(rows, cols)
+
+
+def _arrays_of_length(items, length: int) -> bool:
+    """Whether every item is a JSON array (a list, or a tuple) of the given
+    length; a string or an object has a length too."""
+    return set(map(type, items)) <= {list, tuple} and set(map(len, items)) <= {length}
 
 
 def encode_algebra(a: FdCStarAlgebra) -> dict:

@@ -41,7 +41,7 @@ TOL = Tolerance()
 
 def rank_psd(m, tol):
     """Spectral rank and PSD test of a Hermitian matrix, as in test_numerics."""
-    w, _ = hermitian_eig(m, tol)
+    w, _ = hermitian_eig(m)
     if w.size == 0:
         return 0, True
     lam_max, lam_min = float(w[0]), float(w[-1])
@@ -708,7 +708,7 @@ def test_decode_matrix_rejects_what_the_loop_rejected(rows, cols, entries):
 
 _json_numbers = st.one_of(
     st.floats(),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e16, -1e308]),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225e-308, 1e16, -1e308, 1.7976931348623157e308]),
     st.integers(-(2**80), 2**80),
 )
 
@@ -733,6 +733,8 @@ def test_decode_matrix_equals_per_entry_reference(shape, data):
     assert got.tobytes() == expected.tobytes()  # bit for bit: -0.0 and NaN too
     parsed = loads(json.dumps(obj))
     assert decode_matrix(parsed).tobytes() == decode_matrix_per_entry(parsed).tobytes()
+    if not np.isnan(got).any():  # json writes every NaN as the same NaN
+        assert decode_matrix(loads(dumps(encode_matrix(got)))).tobytes() == got.tobytes()
 
 
 @settings(deadline=None, max_examples=100)
@@ -765,6 +767,61 @@ def test_decode_matrix_rejects_entries_that_are_not_json_numbers(shape, bad, dat
 def test_decode_matrix_rejects_non_integer_sizes(obj):
     with pytest.raises(MalformedInput):
         decode_matrix(obj)
+
+
+def _pairs_of_one_and_three(m):
+    row = m["entries"][0]
+    (a, b), c = row[0], row[1]
+    row[:2] = [[a], [b] + c]  # the flat count stays 4
+
+
+def _pair(value):
+    def edit(m):
+        m["entries"][0][0] = value(m["entries"][0][0])
+
+    return edit
+
+
+# malformed matrix objects of 2 columns that a walk over the flattened
+# numbers alone could take for well formed
+_FLAT_WALK_MISSES = {
+    "pairs-of-1-and-3": _pairs_of_one_and_three,
+    "string-pair": _pair(lambda p: "12"),
+    "dict-pair": _pair(lambda p: {"re": p[0], "im": p[1]}),
+    "deeper-pair": _pair(lambda p: [p]),
+    "rows-0": lambda m: m.update(rows=0),
+    "string-row": lambda m: m["entries"].__setitem__(0, "12"),
+    "huge-int": _pair(lambda p: [10**400, p[1]]),
+}
+
+
+@pytest.mark.parametrize("edit", _FLAT_WALK_MISSES.values(), ids=_FLAT_WALK_MISSES.keys())
+def test_decoders_refuse_what_a_flat_walk_could_miss(tmp_path, capsys, edit):
+    def edited(m):
+        m = json.loads(json.dumps(m))
+        edit(m)
+        return m
+
+    with pytest.raises(MalformedInput):
+        decode_matrix(edited(encode_matrix(np.arange(6.0).reshape(3, 2) - 2.5j)))
+
+    # a basis image of a map on M_2, k = 2, through dilate
+    payload = encode_ocp_map(tracial_map(2, 2))
+    payload["basis_images"][1] = edited(payload["basis_images"][1])
+    fixture = tmp_path / "map.json"
+    fixture.write_text(json.dumps(payload))
+    assert main(["dilate", str(fixture), "--out", str(tmp_path / "cert.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+    # the anchor V (h x 2) of the second rep, through purify
+    rep = stinespring_dilate(tracial_map(2, 2), TOL).rep
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dumps(encode_anchored_rep(rep)))
+    payload = encode_anchored_rep(rep)
+    payload["V"] = edited(payload["V"])
+    bad.write_text(json.dumps(payload))
+    assert main(["purify", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_decode_rejects_non_integer_block_sizes():

@@ -40,7 +40,7 @@ def unit_star_index(algebra: FdCStarAlgebra, alpha: int) -> int:
 
 def rank_psd(m, tol):
     """Spectral rank and PSD test of a Hermitian matrix, as in test_numerics."""
-    w, _ = hermitian_eig(m, tol)
+    w, _ = hermitian_eig(m)
     if w.size == 0:
         return 0, True
     lam_max, lam_min = float(w[0]), float(w[-1])
@@ -93,7 +93,7 @@ def test_ampliation_transpose_witness():
     units = matrix_units(M2)
     grid = [[units[M2.basis_index(0, i, j)] for j in range(2)] for i in range(2)]
     out = ampliation_apply(phi, 2, grid)
-    w, _ = hermitian_eig(out, TOL)
+    w, _ = hermitian_eig(out)
     assert w[-1] < -0.5
 
 
@@ -188,7 +188,7 @@ def test_choi_equals_ampliation_criterion():
         assert is_psd
     phi = transpose_map(2)
     grid = [[units[M2.basis_index(0, i, j)] for j in range(2)] for i in range(2)]
-    w, _ = hermitian_eig(ampliation_apply(phi, 2, grid), TOL)
+    w, _ = hermitian_eig(ampliation_apply(phi, 2, grid))
     assert w[-1] < -TOL.eps_rank
 
 

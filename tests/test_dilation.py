@@ -819,8 +819,8 @@ def test_tiny_map_dilation_is_minimal():
 @example(s=1e9)
 @example(s=1e12)
 def test_large_multiples_dilate_like_the_map(s):
-    # the CP gate and hermitian_eig weigh their symmetry residuals against the
-    # largest entry, so s phi is accepted and has the same d and pi as phi
+    # the CP gate weighs its symmetry residual against the largest entry,
+    # so s phi is accepted and has the same d and pi as phi
     phi = random_cp_map(rng_for(0, 0), (2, 3), 3, kraus_rank=3)
     base = stinespring_dilate(phi, TOL)
     scaled = stinespring_dilate(OcpMap(phi.domain, 3, tuple(s * m for m in phi.basis_images)), TOL)

@@ -614,7 +614,7 @@ def test_normal_form_one_eigensolve_per_block(monkeypatch):
     images = x @ boxplus_rep_images(algebra, (2, 0, 3)) @ x.conj().T
     calls = []
     eig = numerics.hermitian_eig
-    monkeypatch.setattr(numerics, "hermitian_eig", lambda m, tol: calls.append(1) or eig(m, tol))
+    monkeypatch.setattr(numerics, "hermitian_eig", lambda m: calls.append(1) or eig(m))
     mults, _ = normal_form_general_rep(images, algebra, TOL)
     assert mults == (2, 0, 3)
     assert len(calls) == algebra.num_blocks
@@ -720,8 +720,8 @@ def test_purification_self_check_is_scale_free_at_large_scales(blocks, log_s, se
 
 def test_normal_form_refuses_a_skew_unit_image_as_not_a_representation():
     # max|pi(E_00)| is 0.405, so a skew part that check_star_hom passes
-    # (star residual 8e-10 <= eps_eq) fails the eigensolver's symmetry test,
-    # which is relative to the largest entry; the refusal is still the gate's
+    # (star residual 8e-10 <= eps_eq) fails the normal form's symmetry test,
+    # which is relative to the largest entry
     rng = rng_for(5, 0)
     _, _, rep, _ = random_dilation_pair(rng, (2, 3), 2, TOL, [1, 1], [0, 0])
     g = complex_gaussian(rng, 15, 15)
@@ -731,6 +731,27 @@ def test_normal_form_refuses_a_skew_unit_image_as_not_a_representation():
     assert check_star_hom(representation_hom(rep.algebra, images), TOL).ok
     with pytest.raises(NotRepresentation):
         normal_form_general_rep(images, rep.algebra, TOL)
+
+
+@pytest.mark.parametrize("eps_eq", [1e-9, 1e-6])
+def test_normal_form_symmetry_gate_sits_at_eps_eq_times_the_largest_entry(eps_eq):
+    # P = pi(E_00) = E_00 (x) 1_2 has max|P| = 1; P + d (E_01 - E_10) has
+    # max|P - P*| = 2 d exactly and the same Hermitian part, so the threshold
+    # of the symmetry test is d = eps_eq / 2, and the normal form and unit
+    # residuals (about d) pass on either side of it
+    tol = Tolerance(eps_eq=eps_eq)
+    algebra = FdCStarAlgebra((2, 1))
+    images = boxplus_rep_images(algebra, (2, 1))
+    skew = np.zeros_like(images[0])
+    skew[0, 1], skew[1, 0] = 1.0, -1.0
+    for factor, accepted in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        tilted = images.copy()
+        tilted[0] += 0.5 * eps_eq * factor * skew
+        if accepted:
+            assert normal_form_general_rep(tilted, algebra, tol)[0] == (2, 1)
+        else:
+            with pytest.raises(NotRepresentation, match="not Hermitian"):
+                normal_form_general_rep(tilted, algebra, tol)
 
 
 def _spy(monkeypatch, module, name) -> list:

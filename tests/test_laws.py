@@ -3,12 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from dilatory import dilation, laws
+from dilatory import laws
 from dilatory.algebra import FdCStarAlgebra, identity_hom
 from dilatory.cpmap import OcpMap, pullback, tracial_map
 from dilatory.dilation import (
     AnchoredRep,
     RepMorphism,
+    is_rep_morphism,
     mediating_morphism,
     restrict,
     stinespring_dilate,
@@ -75,6 +76,21 @@ def test_zigzag_rejects_a_rep_that_does_not_dilate_the_certified_map():
     assert max_abs(restrict(bad).basis_images - phi.basis_images) > 1e-3
     report = check_zigzag(bad, TOL, cert=cert)
     assert not report.passed and report.max_residual >= CONTROL_FLOOR
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e12])
+def test_zigzag_passes_on_a_large_multiple_of_the_map(s):
+    # the counit is judged by is_rep_morphism at the scales it names: at
+    # s = 1e12 its raw anchor residual is 3.7e-9, above eps_eq at scale 1
+    phi = random_cp_map(rng_for(3, 0), (2, 3), 3, kraus_rank=3)
+    cert = stinespring_dilate(OcpMap(phi.domain, 3, s * phi.basis_images), TOL)
+    rep = inflate_rep(rng_for(3, 1), cert, [1, 1])
+    report = check_zigzag(rep, TOL, cert=cert)
+    assert report.passed and report.witnesses == ()
+    counit = mediating_morphism(rep, cert=cert)
+    raw = is_rep_morphism(counit, cert.rep, rep, TOL).residuals.values()
+    self_med = mediating_morphism(cert.rep, cert=cert)
+    assert report.max_residual == max(*raw, max_abs(self_med.L - np.eye(cert.dimension)))
 
 
 def test_zigzag_detects_sabotage():
@@ -219,11 +235,11 @@ def test_default_suite_ok_and_reproducible():
 
 
 def _count_calls(monkeypatch, names) -> dict:
-    """Count calls of the named dilation functions, wherever a dilatory
-    module imported them."""
+    """Count calls of the named functions the laws module calls, wherever
+    a dilatory module imported them."""
     counts = dict.fromkeys(names, 0)
     for name in counts:
-        real = getattr(dilation, name)
+        real = getattr(laws, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1

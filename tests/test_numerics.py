@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dilatory import numerics
-from dilatory.errors import NotHermitian, ShapeMismatch
+from dilatory.algebra import commutant
+from dilatory.cpmap import OcpMap, choi_blocks, is_completely_positive
+from dilatory.errors import ShapeMismatch
 from dilatory.numerics import (
     Tolerance,
     _fix_phases,
@@ -18,6 +20,7 @@ from dilatory.numerics import (
     right_singular,
     svd,
 )
+from dilatory.randgen import complex_gaussian, random_cp_map, rng_for
 
 TOL = Tolerance()
 
@@ -29,7 +32,7 @@ def rank_psd(m, tol):
     whole spectrum sits below ``eps_rank`` in absolute terms); the matrix is
     PSD when the smallest eigenvalue is above ``-eps_rank * max(lambda_max, 1)``.
     """
-    w, _ = hermitian_eig(m, tol)
+    w, _ = hermitian_eig(m)
     if w.size == 0:
         return 0, True
     lam_max, lam_min = float(w[0]), float(w[-1])
@@ -90,36 +93,31 @@ def test_as_matrix_rejects_nonfinite():
 
 
 def test_eig_identity():
-    w, u = hermitian_eig(np.eye(3), TOL)
+    w, u = hermitian_eig(np.eye(3))
     np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-14)
 
 
 def test_eig_diagonal_descending():
-    w, u = hermitian_eig(np.diag([2.0, 0.0, -1.0]), TOL)
+    w, u = hermitian_eig(np.diag([2.0, 0.0, -1.0]))
     np.testing.assert_allclose(w, [2.0, 0.0, -1.0], atol=1e-15)
     # standard basis columns, up to the sorting permutation
     np.testing.assert_allclose(np.abs(u), np.eye(3), atol=1e-14)
-
-
-def test_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), TOL)
 
 
 def test_eig_roundtrip_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         h = random_hermitian(rng, 6)
-        w, u = hermitian_eig(h, TOL)
+        w, u = hermitian_eig(h)
         np.testing.assert_allclose(u @ np.diag(w) @ u.conj().T, h, atol=1e-12)
 
 
 def test_eig_bit_identical_repeats():
     rng = np.random.default_rng(1)
     h = random_hermitian(rng, 8)
-    w1, u1 = hermitian_eig(h, TOL)
-    w2, u2 = hermitian_eig(h.copy(), TOL)
+    w1, u1 = hermitian_eig(h)
+    w2, u2 = hermitian_eig(h.copy())
     assert np.array_equal(w1, w2)
     assert np.array_equal(u1, u2)
 
@@ -129,9 +127,60 @@ def test_eig_bit_identical_repeats():
 def test_eig_orthonormal_and_reconstructs(n, seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, n)
-    w, u = hermitian_eig(h, TOL)
+    w, u = hermitian_eig(h)
     assert max_abs(u.conj().T @ u - np.eye(n)) <= 1e-12
     assert max_abs(u @ np.diag(w) @ u.conj().T - h) <= 1e-11
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    blocks=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    k=st.integers(1, 3),
+    tilt=st.sampled_from([0.0, 1e-12, 1e-3]),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_callers_hand_the_eigensolver_exactly_hermitian_matrices(blocks, k, tilt, extra, seed):
+    """Why hermitian_eig checks nothing.  commutant hands it T + T*, exactly
+    Hermitian.  The CP gate hands it each Choi block C, Hermitian or not (a
+    tilt of phi(E_0) makes it not), and weighs max|C - C*| itself; what eigh
+    decomposes is the Hermitian part (C + C*) / 2, exactly Hermitian and
+    bit for bit the matrix the gate used to hand over, so a symmetry test
+    on it could never fail."""
+    rng = rng_for(seed, 0)
+    phi = random_cp_map(rng, blocks, k, kraus_rank=2)
+    images = phi.basis_images.copy()
+    images[0] += tilt * complex_gaussian(rng, k, k)
+    phi = OcpMap(phi.domain, k, images)
+    generators = [complex_gaussian(rng, k, k) for _ in range(extra)] + list(images)
+    handed, decomposed = [], []
+    real_eig, real_eigh = numerics.hermitian_eig, np.linalg.eigh
+
+    def eig_spy(m):
+        handed.append(np.array(m))
+        return real_eig(m)
+
+    def eigh_spy(a, *args, **kwargs):
+        decomposed.append(np.array(a))
+        return real_eigh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "hermitian_eig", eig_spy)
+        mp.setattr(np.linalg, "eigh", eigh_spy)
+        is_completely_positive(phi, TOL)
+        cp_handed, cp_decomposed = handed[:], decomposed[:]
+        del handed[:], decomposed[:]
+        commutant(generators, k, TOL)
+
+    chois = choi_blocks(phi)
+    assert len(cp_handed) == len(cp_decomposed) == len(chois)
+    for c, m, a in zip(chois, cp_handed, cp_decomposed):
+        assert np.array_equal(m, c)
+        assert np.array_equal(a, a.conj().T)
+        assert np.array_equal(a, 0.5 * (c + c.conj().T))
+    assert len(handed) == len(decomposed) == 1
+    assert np.array_equal(handed[0], handed[0].conj().T)
+    assert np.array_equal(decomposed[0], handed[0])
 
 
 def test_rank_psd_zero():

@@ -46,7 +46,7 @@ def dense_q(cert) -> np.ndarray:
     cut = TOL.eps_rank * cert.gram_eigenvalues[0]
     pieces = []
     for n, c in zip(cert.source.domain.blocks, choi_blocks(cert.source)):
-        w, u = hermitian_eig(c, TOL)
+        w, u = hermitian_eig(c)
         r = int(np.count_nonzero(w > cut))
         pieces.append(kron(np.eye(n), np.sqrt(w[:r])[:, None] * u[:, :r].conj().T))
     return numerics.block_diag(pieces)
@@ -103,9 +103,9 @@ def test_one_eigensolve_per_choi_block(monkeypatch, check_cp):
     calls = []
     real = numerics.hermitian_eig
 
-    def counted(m, tol=TOL):
+    def counted(m):
         calls.append(np.shape(m))
-        return real(m, tol)
+        return real(m)
 
     monkeypatch.setattr(numerics, "hermitian_eig", counted)
     phi = random_cp_map(rng_for(120, 0), (1, 2, 3), 2, kraus_rank=2)

@@ -386,6 +386,37 @@ def test_stacked_forms_equal_their_loops(blocks, k, seed):
     assert purification_residuals(u, cert.rep, rep)["intertwine"] == inter
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    blocks=_blocks,
+    k=st.integers(1, 3),
+    tilt=st.sampled_from([0.0, 1e-12, 1e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_validate_rep_gates_the_images_as_held(blocks, k, tilt, seed):
+    """validate_rep's report is check_star_hom's on the induced map A -> M_h,
+    bit for bit, on canonical, inflated and tilted reps; it builds no
+    embedded copy of the images."""
+    rng = rng_for(seed, 0)
+    cert = stinespring_dilate(random_cp_map(rng, blocks, k, kraus_rank=2), TOL)
+    inflated = inflate_rep(rng, cert, [int(x) for x in rng.integers(0, 2, len(blocks))])
+    images = inflated.pi_images.copy()
+    images[-1] += tilt * complex_gaussian(rng, inflated.h, inflated.h)
+    tilted = AnchoredRep(inflated.algebra, k, inflated.h, images, inflated.V)
+    copies = []
+    real = StarHom.embedded_images
+    for rep in (cert.rep, inflated, tilted):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(StarHom, "embedded_images", lambda f: copies.append(f) or real(f))
+            got = validate_rep(rep, TOL)
+        assert copies == []
+        expected = check_star_hom(representation_hom(rep.algebra, rep.pi_images), TOL)
+        assert got == expected
+        assert [x.hex() for x in got.residuals.values()] == [
+            x.hex() for x in expected.residuals.values()
+        ]
+
+
 def test_padding_control_gate_equals_its_loop():
     report = _same_gate(_fake_unital_padding())
     assert report.unital and report.star_preserving and not report.multiplicative
