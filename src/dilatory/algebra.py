@@ -23,19 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
 from . import numerics
 from .errors import ShapeMismatch
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, dagger, linear_extension, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, linear_extension, max_abs
 
 # spectral gap of the generic element, relative to its largest eigenvalue,
 # at which commutant splits the search space (see its docstring)
 _CLUSTER_GAP = 1e-2
 # bytes of commutator rows folded into commutant's running R at a time
 _CHUNK_BYTES = 4 << 20
+# unknowns per stretch in which commutant gathers clusters into one group
+_GROUP_UNKNOWNS = 16
 
 
 @dataclass(frozen=True)
@@ -352,10 +354,18 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     dilations, where a gap of sqrt(eps_rank) gave 1.8e-13.
 
     Column (i, j) of the reduced system is vec(S' E_ij - E_ij S') for
-    S' = u* S u and for its adjoint, scattered by index.  The rows are
-    folded a few generators at a time into a running triangular factor R,
-    so the commutator stack A is never held, and the null space is read off
-    the SVD of R.  The cut is eps_rank times a stand-in for A's top singular
+    S' = u* S u and for its adjoint, scattered by index.  Row (i, j) is
+    entry (i, j) of S' X - X S', so it involves only the unknowns of the
+    clusters of i and of j.  The clusters whose first unknowns lie in one
+    stretch of 16 unknowns form a group, and the rows of each pair of
+    groups are folded, a few generators at a time, into a running
+    triangular factor over the unknowns of that pair alone.  Stacked, each
+    in its unknowns' columns, the pairs' factors form an R with A's
+    singular values and null space, so the commutator stack A is never
+    held, and the null space is read off the SVD of R.  On three clusters
+    of 25 unknowns that takes 2.6 times fewer flops than folding every row
+    over all 75 unknowns; a single group is folded as a whole.  The cut is
+    eps_rank times a stand-in for A's top singular
     value: the larger of R's and |A|_F / h.  Both are at most A's, and the
     second is within a factor h of it, so unknowns whose own equations are
     all small (commuting generators, a cluster of nearly equal eigenvalues)
@@ -370,11 +380,7 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
     rescaling the generators.
     """
     n = int(ambient_dim)
-    gens = [as_matrix(g) for g in generators]
-    for g in gens:
-        if g.shape != (n, n):
-            raise ShapeMismatch(f"generator shape {g.shape} != ({n}, {n})")
-    stack = np.array(gens) if gens else np.zeros((1, n, n), dtype=np.complex128)
+    stack = as_stack(list(generators) or [numerics.zeros(n, n)], side=n)
 
     # H = T + T* with T = sum_i z_i S_i and z_i = (w_i - i w'_i) / 2
     weights = 0.5 + np.modf(np.arange(1, 2 * len(stack) + 1) * (1.0 + 5.0**0.5) / 2.0)[0]
@@ -391,16 +397,30 @@ def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> lis
 
     primed = dagger(u) @ stack @ u
     primed = np.concatenate([primed, np.conj(primed).transpose(0, 2, 1)])
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n * unknowns))
-    r = np.zeros((0, unknowns), dtype=np.complex128)
+    # the group of each column of u, then per pair of groups a <= b the rows
+    # (i, j) whose groups are {a, b} and the unknowns of a and b; one group
+    # takes the whole block as it is
+    group = np.repeat((np.cumsum(sizes**2) - sizes**2) // _GROUP_UNKNOWNS, sizes)
+    low, high = np.minimum.outer(group, group), np.maximum.outer(group, group)
+    pairs = [
+        ((low == a) & (high == b), np.isin(group[rows], (a, b)))
+        for a, b in combinations_with_replacement(np.unique(group), 2)
+    ] if group[-1] else [(Ellipsis, slice(None))]
     p = np.arange(unknowns)
+    parts = [np.zeros((0, p[own].size), dtype=np.complex128) for _, own in pairs]
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n * unknowns))
     for lo in range(0, len(primed), per_chunk):
         chunk = primed[lo : lo + per_chunk]
         # S' E_ij puts column i of S' in column j; E_ij S' puts row j in row i
         block = np.zeros((len(chunk), n, n, unknowns), dtype=np.complex128)
         block[:, :, cols, p] = chunk[:, :, rows]
         block[:, rows, :, p] -= chunk[:, cols, :].transpose(1, 0, 2)
-        r = np.linalg.qr(np.concatenate([r, block.reshape(-1, unknowns)]), mode="r")
+        for k, (cell, own) in enumerate(pairs):
+            sub = block[:, cell][..., own].reshape(-1, parts[k].shape[1])
+            parts[k] = np.linalg.qr(np.concatenate([parts[k], sub]), mode="r")
+    r = np.zeros((sum(len(part) for part in parts), unknowns), dtype=np.complex128)
+    for end, part, (_, own) in zip(accumulate(len(part) for part in parts), parts, pairs):
+        r[end - len(part) : end, own] = part
 
     # |A|_F^2 = 4 h sum_i |S_i - tr(S_i) / h|_F^2 for the full stack A
     centred = stack - (np.trace(stack, axis1=1, axis2=2) / n)[:, None, None] * numerics.eye(n)

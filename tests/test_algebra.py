@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -363,6 +364,27 @@ def test_commutant_matches_stacked_reference_on_conjugated_boxplus(seed, blocks,
     images = list(u @ boxplus_rep_images(algebra, mults) @ u.conj().T)
     basis = _check_against_reference(images, h)
     assert len(basis) == sum(c * c for c in mults)
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([((3,), (5,)), ((2, 3), (4, 3)), ((1, 1, 2), (5, 4, 3)), ((2, 2), (3, 3))]),
+)
+def test_commutant_split_into_groups_matches_stacked_reference(seed, case):
+    # block n with multiplicity c gives n clusters of c^2 unknowns, and the
+    # clusters whose first unknowns lie in one stretch of 16 form a group:
+    # these cases have 2 to 4 groups, and each pair of groups is folded over
+    # its own unknowns, fewer than all of them
+    blocks, mults = case
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, sum(n * c for n, c in zip(blocks, mults)))
+    images = list(u @ boxplus_rep_images(FdCStarAlgebra(blocks), mults) @ u.conj().T)
+    widths, qr = [], np.linalg.qr
+    with mock.patch.object(np.linalg, "qr", lambda a, mode: widths.append(a.shape[1]) or qr(a, mode)):
+        basis = _check_against_reference(images, len(u))
+    assert len(basis) == sum(c * c for c in mults)
+    assert min(widths) < sum(n * c * c for n, c in zip(blocks, mults))
 
 
 @settings(deadline=None, max_examples=40)
