@@ -10,6 +10,7 @@ a positive number below 1, like a --dims below 1, is malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import NoReturn
@@ -236,7 +237,10 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="dilatory",
         description="Stinespring dilation toolkit for finite-dimensional C*-algebras",

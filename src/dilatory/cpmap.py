@@ -302,9 +302,12 @@ def dagger_morphism(m: OcpMorphism, tol: Tolerance = DEFAULT_TOL) -> OcpMorphism
 
 
 def compose_morphisms(g: OcpMorphism, f: OcpMorphism) -> OcpMorphism:
-    """g o f."""
-    if g.source.k != f.target.k or g.source.domain.blocks != f.target.domain.blocks:
-        raise ShapeMismatch("morphisms are not composable")
+    """g o f, for g out of the map f lands in: the same domain, the same k
+    and bit-equal basis images."""
+    mid, end = g.source, f.target
+    same = mid.domain.blocks == end.domain.blocks and mid.k == end.k
+    if not same or mid.basis_images.tobytes() != end.basis_images.tobytes():
+        raise ShapeMismatch("morphisms are not composable: g does not start where f ends")
     return OcpMorphism(f.source, g.target, g.T @ f.T)
 
 

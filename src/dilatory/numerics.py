@@ -54,11 +54,13 @@ class Tolerance:
     - m of the input (CP self-adjointness, the symmetry of each pi(E^j_00) in
       the normal form), of the larger restriction (connecting_morphism), 10 m
       of the larger anchor (purification);
+    - each identity a = b of a law report: max(m(a), m(b)), the larger side;
+      the gates a law runs keep their own scales;
     - cuts of lambda_max (CP gate, dilation rank, rank_unstable), s_max
       (is_minimal), commutant's top, floored at its rounding;
     - 1 where rescaling changes the right answer (the *-hom gate, units,
-      isometries, partial isometries, extensions, the normal form,
-      LawReport); 10 for tensor_factor_extract and the purification.
+      isometries, partial isometries, extensions, the normal form); 10 for
+      tensor_factor_extract and the purification.
     """
 
     eps_rank: float = 1e-9

@@ -862,3 +862,32 @@ def test_cli_dilate_non_integer_sizes_exit_3(tmp_path, capsys, edit):
     assert main(["dilate", str(fixture), "--out", str(tmp_path / "out.json")]) == 3
     assert capsys.readouterr().err.startswith("error: ")
 
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, request):
+    import argparse
+    import types
+
+    from dilatory import cli
+
+    built = []
+
+    class Spy(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
+
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    # argparse itself looks ArgumentParser up by name, so only cli's view changes
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(ArgumentParser=Spy))
+    out = str(tmp_path / "out.json")
+    assert main(["random", "--seed", "1", "--out", out]) == 0
+    assert main(["dilate", out, "--out", str(tmp_path / "cert.json")]) == 0
+    assert main(["laws", "--draws", "1", "--out", out]) == 0
+    assert built.count("dilatory") == 1
+    # argparse errors still exit 2 after a good call, and leave no state
+    assert _exit_code(["laws", "--draws", "x"]) == 2
+    assert _exit_code(["laws", "--seed", "2", "--draws", "1", "--out", out]) == 0
+    assert json.loads(open(out).read())["seed"] == 2
+    assert built.count("dilatory") == 1

@@ -24,7 +24,7 @@ from dilatory.cpmap import (
     unique_unital_hom_from_scalars,
     zero_map,
 )
-from dilatory.errors import NotIsometry, NotMorphism
+from dilatory.errors import NotIsometry, NotMorphism, ShapeMismatch
 from dilatory.laws import example_27, example_28
 from dilatory.numerics import Tolerance, hermitian_eig, max_abs
 from dilatory.randgen import random_cp_map, random_hom, random_unitary, rng_for
@@ -444,6 +444,22 @@ def test_dagger_morphism_roundtrip():
     assert ok
     again = dagger_morphism(flipped, TOL)
     assert max_abs(again.T - t) == 0.0
+
+
+def test_compose_morphisms_needs_the_middle_map():
+    rng = rng_for(18, 0)
+    tau, sigma, chi = tracial_map(2, 2), tracial_map(2, 3), tracial_map(2, 4)
+    f = OcpMorphism(tau, sigma, rng.standard_normal((3, 2)))
+    g = OcpMorphism(sigma, chi, rng.standard_normal((4, 3)))
+    # same algebra and k as sigma, another map: g o f' is not a morphism
+    other = random_cp_map(rng, (2,), 3, kraus_rank=2)
+    f_other = OcpMorphism(tau, other, np.zeros((3, 2)))
+    with pytest.raises(ShapeMismatch):
+        compose_morphisms(g, f_other)
+    copy = OcpMap(sigma.domain, sigma.k, sigma.basis_images.copy())
+    composite = compose_morphisms(g, OcpMorphism(tau, copy, f.T))
+    assert composite.source is tau and composite.target is chi
+    assert np.array_equal(composite.T, g.T @ f.T)
 
 
 def test_dagger_identity_and_contravariance():

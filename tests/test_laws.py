@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dilatory import laws
-from dilatory.algebra import FdCStarAlgebra, identity_hom
-from dilatory.cpmap import OcpMap, pullback, tracial_map
+from dilatory.algebra import FdCStarAlgebra, StarHom, identity_hom
+from dilatory.cpmap import OcpMap, OcpMorphism, pullback, tracial_map
 from dilatory.dilation import (
     AnchoredRep,
     RepMorphism,
@@ -356,3 +356,164 @@ def test_default_suite_zero_draws():
     assert result.ok
     assert result.warnings
     assert result.reports == ()
+
+
+def scaled(phi, s):
+    return OcpMap(phi.domain, phi.k, s * phi.basis_images)
+
+
+def found_case(s):
+    """phi of CHANGES.md's scale defect times s, psi = X phi X*, the
+    canonical dilations of both and an inflated target over psi."""
+    phi = scaled(random_cp_map(rng_for(3, 0), (2, 3), 3, kraus_rank=3), s)
+    x = random_unitary(rng_for(3, 2), 3)
+    psi = OcpMap(phi.domain, 3, x @ phi.basis_images @ dagger(x))
+    cert_phi = stinespring_dilate(phi, TOL)
+    cert_psi = stinespring_dilate(psi, TOL)
+    target = inflate_rep(rng_for(3, 1), cert_psi, [1, 1])
+    return phi, psi, x, cert_phi, cert_psi, target
+
+
+def law_verdicts(t, phi, psi, cert_phi, cert_psi, target):
+    """The verdicts of the naturality, dagger and adjunction laws on T."""
+    univ = universal_factorization(t, target, TOL, cert=cert_phi)
+    certs = {"src_cert": cert_phi, "dst_cert": cert_psi}
+    entries = [OcpMorphism(phi, psi, t), (univ, cert_phi.rep, target)]
+    return {
+        "naturality_m": check_naturality_m(univ, cert_phi.rep, target, TOL, **certs).passed,
+        "dagger": check_dagger(entries, TOL).passed,
+        "objectwise_adjunction": objectwise_adjunction_suite(
+            [(t, cert_phi, target, cert_psi)], TOL
+        ).passed,
+    }
+
+
+MAP_SCALES = [1e-12, 1e-6, 1.0, 1e6, 1e12]
+
+
+@pytest.mark.parametrize("s", MAP_SCALES)
+def test_every_law_holds_on_every_multiple_of_the_map(s):
+    # with the gates' raw residuals weighed at scale 1, the dagger law failed
+    # here from s = 1e6 and the adjunction at s = 1e12
+    phi, psi, x, cert_phi, cert_psi, target = found_case(s)
+    verdicts = law_verdicts(x, phi, psi, cert_phi, cert_psi, target)
+    verdicts["zigzag"] = check_zigzag(
+        inflate_rep(rng_for(3, 1), cert_phi, [1, 1]), TOL, cert=cert_phi
+    ).passed
+
+    rng = rng_for(83, 0)
+    f = random_hom(rng, FdCStarAlgebra((1, 2)), max_mult=1)
+    top = scaled(random_cp_map(rng, f.target.blocks, 2, kraus_rank=2), s)
+    cert = stinespring_dilate(top, TOL)
+    rep = inflate_rep(rng, cert, [1] * len(f.target.blocks))
+    pulled_cert = stinespring_dilate(pullback(top, f, TOL), TOL)
+    verdicts["modification"] = check_modification(
+        f, rep, TOL, cert=cert, pulled_cert=pulled_cert
+    ).passed
+
+    rng = rng_for(85, 0)
+    f_prime = random_hom(rng, FdCStarAlgebra((2,)), max_mult=1)
+    f = random_hom(rng, f_prime.target, max_mult=1)
+    chain = scaled(random_cp_map(rng, f.target.blocks, 1, kraus_rank=2), s)
+    verdicts["oplax"] = check_oplax(f, f_prime, TOL, certs=chain_certs(chain, f, f_prime)).passed
+    assert all(verdicts.values()), verdicts
+
+
+@pytest.mark.parametrize("s", MAP_SCALES)
+def test_perturbed_entries_fail_the_dagger_law_at_every_scale(s):
+    phi, psi, x, cert_phi, cert_psi, target = found_case(s)
+    univ = universal_factorization(x, target, TOL, cert=cert_phi)
+    bad = RepMorphism(univ.T, univ.L + 0.1 * max_abs(univ.L))
+    report = check_dagger([(bad, cert_phi.rep, target)], TOL)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("c", [1.0, 1e4, 1e6, 1e8])
+def test_laws_hold_on_every_multiple_of_a_tracial_morphism(c):
+    # any multiple of a morphism of tracial maps is one; with residuals
+    # weighed at scale 1, the dagger and adjunction laws failed this T from
+    # c = 1e6 and the naturality square from 1e7
+    rng = rng_for(88, 0)
+    phi, psi = tracial_map(3, 2), tracial_map(3, 3)
+    t = c * (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))
+    cert_phi = stinespring_dilate(phi, TOL)
+    cert_psi = stinespring_dilate(psi, TOL)
+    target = inflate_rep(rng, cert_psi, [1])
+    verdicts = law_verdicts(t, phi, psi, cert_phi, cert_psi, target)
+    assert all(verdicts.values()), verdicts
+
+
+def test_dagger_names_each_bad_entry_instead_of_raising():
+    phi, psi, x, cert_phi, cert_psi, target = found_case(1.0)
+    univ = universal_factorization(x, target, TOL, cert=cert_phi)
+    good = [OcpMorphism(phi, psi, x), (univ, cert_phi.rep, target)]
+    assert check_dagger(good, TOL).passed
+    bad_rep = (RepMorphism(univ.T, univ.L + 0.1), cert_phi.rep, target)
+    bad_ocp = OcpMorphism(phi, psi, x + 0.1)
+    report = check_dagger([bad_ocp, *good, bad_rep], TOL)
+    assert not report.passed and report.max_residual >= CONTROL_FLOOR
+    assert report.witnesses == (
+        "dagger of an OCP morphism failed validity",
+        "dagger of a representation morphism failed validity",
+    )
+
+
+def gate_key(arg):
+    """The value of a gate argument, for spotting repeated gates."""
+    if isinstance(arg, np.ndarray):
+        return (arg.shape, arg.tobytes())
+    if isinstance(arg, OcpMap):
+        return (arg.domain.blocks, arg.k, arg.basis_images.tobytes())
+    if isinstance(arg, AnchoredRep):
+        return (arg.algebra.blocks, arg.pi_images.tobytes(), arg.V.tobytes())
+    if isinstance(arg, RepMorphism):
+        return (gate_key(arg.T), gate_key(arg.L))
+    if isinstance(arg, StarHom):
+        return (arg.source.blocks, arg.target.blocks, arg.matrix.tobytes())
+    return repr(arg)
+
+
+@pytest.mark.parametrize("seed, draws", [(7, 1), (8, 3)])
+def test_default_suite_runs_no_gate_twice(monkeypatch, seed, draws):
+    laws.counterexample_suite.cache_clear()
+    calls = {name: [] for name in ("is_rep_morphism", "is_ocp_morphism", "check_star_hom")}
+    for name, seen in calls.items():
+        real = getattr(laws, name)
+
+        def spy(*args, _real=real, _seen=seen):
+            _seen.append(tuple(gate_key(a) for a in args))
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("dilatory") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    assert run_default_suite(seed=seed, draws=draws, tol=TOL).ok
+    for name, seen in calls.items():
+        assert len(seen) == len(set(seen)), name
+    # per draw: the zig-zag counit, the adjunction's factorization and the
+    # adjoints of the two naturality entries
+    assert len(calls["is_rep_morphism"]) == 4 * draws
+    # per draw: universal_factorization, L_T and the dagger law; plus the
+    # two counterexamples, once per tolerance
+    assert len(calls["is_ocp_morphism"]) == 3 * draws + 2
+    laws.counterexample_suite.cache_clear()
+
+
+def test_counterexample_suite_runs_once_per_tolerance(monkeypatch):
+    laws.counterexample_suite.cache_clear()
+    seen = []
+    real = laws.check_morphism_variants
+
+    def spy(t, phi, psi, tol):
+        seen.append(tol)
+        return real(t, phi, psi, tol)
+
+    monkeypatch.setattr(laws, "check_morphism_variants", spy)
+    first = run_default_suite(seed=0, draws=1, tol=TOL)
+    assert run_default_suite(seed=1, draws=1, tol=TOL).ok
+    assert seen == [TOL, TOL]
+    other = Tolerance(eps_eq=2e-9)
+    assert run_default_suite(seed=0, draws=1, tol=other).ok
+    assert seen == [TOL, TOL, other, other]
+    assert first.reports[-2] == counterexample_suite(TOL)
+    laws.counterexample_suite.cache_clear()
