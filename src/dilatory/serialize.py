@@ -9,7 +9,10 @@ produces identical bytes and parse(serialize(x)) returns x bit-exactly.
 The decoders are where the CLI's input enters, and each of their checks
 runs once.  Sizes ("rows", "cols", "k", "h", "blocks") must be JSON
 integers; a float or a bool there is malformed input, never rounded.
-``decode_matrix`` walks a matrix's entries once: "rows" rows of "cols"
+A list of matrix objects (``basis_images`` of shape k x k, ``pi_images`` of
+shape h x h) is read as one stack, and ``decode_matrix`` reads a stack of
+one: every object must have the expected "rows" and "cols", then the
+entries of all of them are walked together once, "rows" rows of "cols"
 [re, im] pairs, each level a JSON array of that length, then only JSON
 numbers among the flattened values (null, a bool, a string or an int beyond
 the float range is malformed input too), converted in one call.  Finiteness
@@ -28,19 +31,30 @@ layout, and a ``TypeError`` for whatever json rejects.  Any ndarray other
 than a 2-D complex128 one is rejected too.  It does not call ``json.dumps``
 because with ``indent`` json always runs its pure-Python encoder, one
 generator step per float, and a certificate holds hundreds of thousands of
-floats.  Instead a matrix array is written row by row: each distinct row,
-keyed by its exact bytes (so -0.0 and 0.0 stay apart), is formatted once
-by filling a ``%s`` template made once per row width and depth with the
-``float.__repr__`` of its entries, or with json's ``NaN``/``Infinity``
-spellings when the array holds a non-finite entry.  The pi images of a
-canonical dilation, 0/1 matrices of mostly zero rows, have few distinct
-rows.  Lists, matrices included, take the general per-value path.
+floats.  Instead its cost follows the distinct rows and values:
+
+- A list of matrix objects of one shape (exactly the keys "rows", "cols"
+  and "entries", int sizes, 2-D complex128 entries), such as a map's basis
+  images or a rep's pi images, is written as one (count, rows, cols) stack:
+  the text around each object's entries is built once, and the rows of all
+  the objects are de-duplicated together.  A lone matrix array is a stack
+  of one.  The pi images of a canonical dilation, 0/1 matrices of mostly
+  zero rows, share most of their rows across the list.
+- Rows are keyed by their exact bytes, so -0.0 and 0.0 stay apart.  The
+  float bits of the rows not yet written are de-duplicated again, and each
+  distinct value is spelled once, with ``float.__repr__`` or json's
+  ``NaN``/``Infinity`` spellings.  A row's text is its spellings slotted
+  into the literal text json puts around them, joined once.
+- Row texts carry their leading separator and go into the output list as
+  they are; one join at the end builds the document.  A list of plain
+  floats is written with one join.
+- The row texts are kept for one ``dumps`` call and then dropped, so
+  nothing keyed by data outlives the call.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 from itertools import chain
 from math import isfinite
 
@@ -86,19 +100,38 @@ def _size(value) -> int:
     return value
 
 
+def _matrix_shape(obj) -> tuple[int, int]:
+    try:
+        return _size(obj["rows"]), _size(obj["cols"])
+    except (KeyError, TypeError) as exc:
+        raise MalformedInput(f"bad matrix object: {exc}") from exc
+
+
 def decode_matrix(obj) -> np.ndarray:
     """The complex128 matrix of a matrix object, its entries walked once
     (see the module docstring)."""
-    try:
-        rows = _size(obj["rows"])
-        cols = _size(obj["cols"])
-        entries = obj["entries"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedInput(f"bad matrix object: {exc}") from exc
+    rows, cols = _matrix_shape(obj)
+    return _decode_matrices([obj], rows, cols)[0]
+
+
+def _decode_matrices(objs, rows: int, cols: int) -> np.ndarray:
+    """The (count, rows, cols) complex128 stack of a JSON array of matrix
+    objects, each of the given shape, their entries walked together once."""
+    if type(objs) not in (list, tuple):
+        raise MalformedInput("matrix objects are not a JSON array")
+    entries = []
+    for obj in objs:
+        shape = _matrix_shape(obj)
+        if shape != (rows, cols):
+            raise MalformedInput(f"bad matrix object: {shape[0]}x{shape[1]}, expected {rows}x{cols}")
+        entries.append(obj["entries"])
     bad_shape = f"matrix entries are not {rows} rows of {cols} [re, im] pairs"
-    if not (_arrays_of_length([entries], rows) and _arrays_of_length(entries, cols)):
+    if not _arrays_of_length(entries, rows):
         raise MalformedInput(bad_shape)
-    pairs = list(chain.from_iterable(entries))
+    matrix_rows = list(chain.from_iterable(entries))
+    if not _arrays_of_length(matrix_rows, cols):
+        raise MalformedInput(bad_shape)
+    pairs = list(chain.from_iterable(matrix_rows))
     if not _arrays_of_length(pairs, 2):
         raise MalformedInput(bad_shape)
     flat = list(chain.from_iterable(pairs))
@@ -110,7 +143,7 @@ def decode_matrix(obj) -> np.ndarray:
         values = np.array(flat, dtype=np.float64)
     except OverflowError as exc:
         raise MalformedInput(f"bad matrix object: {exc}") from exc
-    return values.view(np.complex128).reshape(rows, cols)
+    return values.view(np.complex128).reshape(len(entries), rows, cols)
 
 
 def _arrays_of_length(items, length: int) -> bool:
@@ -157,7 +190,7 @@ def decode_ocp_map(obj) -> OcpMap:
     try:
         domain = decode_algebra(obj["domain"])
         k = _size(obj["k"])
-        images = tuple(decode_matrix(m) for m in obj["basis_images"])
+        images = _decode_matrices(obj["basis_images"], k, k)
         return OcpMap(domain, k, images)
     except MalformedInput:
         raise
@@ -188,7 +221,7 @@ def decode_anchored_rep(obj) -> AnchoredRep:
         algebra = decode_algebra(obj["domain"])
         k = _size(obj["k"])
         h = _size(obj["h"])
-        images = tuple(decode_matrix(m) for m in obj["pi_images"])
+        images = _decode_matrices(obj["pi_images"], h, h)
         v = decode_matrix(obj["V"])
         return AnchoredRep(algebra, k, h, images, v)
     except MalformedInput:
@@ -229,7 +262,8 @@ def dumps(obj: dict) -> str:
     """Canonical bytes: sorted keys, two-space indent, trailing newline.
 
     obj may hold 2-D complex128 arrays, written as json writes their
-    ``[re, im]`` entry lists.
+    ``[re, im]`` entry lists.  The text of each distinct matrix row is kept
+    for this call only (see the module docstring).
     """
     out: list[str] = []
     _write(obj, 0, out, {})
@@ -265,7 +299,8 @@ def _key_str(key) -> str:
 def _write(o, depth: int, out: list, row_text: dict):
     """Append the indented JSON of o at the given nesting depth to out.
 
-    row_text[depth][row bytes] is the text of each matrix row written so far.
+    row_text[depth][row bytes] is the text of each matrix row written so far,
+    its leading separator included.
     """
     if isinstance(o, str):
         out.append(_encode_str(o))
@@ -284,13 +319,19 @@ def _write(o, depth: int, out: list, row_text: dict):
             out.append("[]")
             return
         inner = "\n" + "  " * (depth + 1)
-        out.append("[")
-        sep = inner
-        for item in o:
-            out.append(sep)
-            _write(item, depth + 1, out, row_text)
-            sep = "," + inner
-        out.append("\n" + "  " * depth + "]")
+        close = "\n" + "  " * depth + "]"
+        if set(map(type, o)) == {float}:
+            out.append("[" + inner + ("," + inner).join(map(_float_str, o)) + close)
+        elif _one_matrix_shape(o):
+            _write_matrix_objects(o, depth, out, row_text)
+        else:
+            out.append("[")
+            sep = inner
+            for item in o:
+                out.append(sep)
+                _write(item, depth + 1, out, row_text)
+                sep = "," + inner
+            out.append(close)
     elif isinstance(o, dict):
         if not o:
             out.append("{}")
@@ -304,42 +345,93 @@ def _write(o, depth: int, out: list, row_text: dict):
             sep = "," + inner
         out.append("\n" + "  " * depth + "}")
     elif type(o) is np.ndarray and o.ndim == 2 and o.dtype == np.complex128:
-        _write_matrix(o, depth, out, row_text)
+        _write_stack(o[None], depth, out, row_text, "", "", "")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_matrix(a: np.ndarray, depth: int, out: list, row_text: dict):
-    """Append the JSON of a's [re, im] entry lists, each distinct row formatted once."""
-    rows, cols = a.shape
-    if rows == 0:
-        out.append("[]")
+def _one_matrix_shape(items) -> bool:
+    """Whether every item is a matrix object {"rows", "cols", "entries"} with
+    int sizes and a 2-D complex128 array of that one shape."""
+    first = items[0]
+    if type(first) is not dict:
+        return False
+    shape = (first.get("rows"), first.get("cols"))
+    for item in items:
+        if type(item) is not dict or len(item) != 3:
+            return False
+        rows, cols, a = item.get("rows"), item.get("cols"), item.get("entries")
+        if not (
+            type(rows) is int
+            and type(cols) is int
+            and type(a) is np.ndarray
+            and a.dtype == np.complex128
+            and a.shape == shape == (rows, cols)
+        ):
+            return False
+    return True
+
+
+def _write_matrix_objects(items, depth: int, out: list, row_text: dict):
+    """Append the JSON of a list of matrix objects of one shape, their
+    entries written as one stack between the text of the other keys."""
+    rows, cols = items[0]["entries"].shape
+    obj, key = ("\n" + "  " * (depth + i) for i in (1, 2))
+    head = "{" + key + '"cols": ' + int.__repr__(cols) + "," + key + '"entries": '
+    tail = "," + key + '"rows": ' + int.__repr__(rows) + obj + "}"
+    stack = np.stack([item["entries"] for item in items])
+    close = "\n" + "  " * depth + "]"
+    _write_stack(stack, depth + 2, out, row_text, "[" + obj + head, tail + "," + obj + head, tail + close)
+
+
+def _write_stack(stack: np.ndarray, depth: int, out: list, row_text: dict, before, between, after):
+    """Append before, the [re, im] entry lists at this depth of each matrix
+    of the (count, rows, cols) stack with between after all but the last,
+    and after; each distinct row is formatted once."""
+    count, rows, cols = stack.shape
+    if stack.size == 0:
+        empty: list[str] = []
+        _write([[]] * rows, depth, empty, row_text)
+        text = "".join(empty)
+        out.append(before + text + (between + text) * (count - 1) + after)
         return
-    if cols == 0:
-        lines = ["[]"] * rows
-    else:
-        # one bytes key per row: equal keys are equal rows, bit for bit
-        keys = np.ascontiguousarray(a).view(np.dtype((np.void, 16 * cols))).ravel().tolist()
-        text = row_text.setdefault(depth, {})
-        new = [key for key in dict.fromkeys(keys) if key not in text]
-        if new:
-            # _float_str spells a finite float as float.__repr__ does, so a
-            # row's text depends only on its bytes and depth
-            fmt = float.__repr__ if np.isfinite(a).all() else _float_str
-            template = _row_template(cols, depth + 1)
-            for key in new:
-                text[key] = template % tuple(map(fmt, np.frombuffer(key).tolist()))
-        lines = map(text.__getitem__, keys)
-    inner = "\n" + "  " * (depth + 1)
-    out.append("[" + inner + ("," + inner).join(lines) + "\n" + "  " * depth + "]")
+    # one bytes key per row: equal keys are equal rows, bit for bit
+    keys = np.ascontiguousarray(stack).view(np.dtype((np.void, 16 * cols))).ravel().tolist()
+    text = row_text.setdefault(depth, {})
+    new = [key for key in dict.fromkeys(keys) if key not in text]
+    if new:
+        text.update(zip(new, _row_texts(new, cols, depth + 1)))
+    lines = list(map(text.__getitem__, keys))
+    # each row text starts with its "," separator, which a matrix's first row drops
+    close = "\n" + "  " * depth + "]"
+    joint = close + between + "["
+    lines[rows::rows] = [joint + line[1:] for line in lines[rows::rows]]
+    lines[0] = before + "[" + lines[0][1:]
+    lines.append(close + after)
+    out.extend(lines)
 
 
-@lru_cache(maxsize=None)
-def _row_template(cols: int, depth: int) -> str:
-    """The %s layout json gives a row of cols [re, im] pairs at this depth."""
+def _row_texts(keys: list, cols: int, depth: int) -> list:
+    """The text of each row (keyed by its bytes) of cols [re, im] pairs at
+    this depth, led by its "," separator: each distinct value is spelled
+    once, and each row is its spellings slotted into the literal text
+    json puts around them."""
+    bits, inverse = np.unique(np.frombuffer(b"".join(keys), dtype=np.uint64), return_inverse=True)
+    values = bits.view(np.float64)
+    # _float_str spells a finite float as float.__repr__ does
+    spell = float.__repr__ if np.isfinite(values).all() else _float_str
+    names = np.array(list(map(spell, values.tolist())), dtype=object)
     outer, pair, item = ("\n" + "  " * (depth + i) for i in range(3))
-    cell = pair + "[" + item + "%s," + item + "%s" + pair + "]"
-    return "[" + ",".join([cell] * cols) + outer + "]"
+    around = [pair + "]," + pair + "[" + item, "," + item] * cols
+    around[0] = "," + outer + "[" + pair + "[" + item
+    around.append(pair + "]" + outer + "]")
+    template = [""] * (4 * cols + 1)
+    template[::2] = around
+    texts = []
+    for row in names[inverse].reshape(len(keys), 2 * cols).tolist():
+        template[1::2] = row
+        texts.append("".join(template))
+    return texts
 
 
 def loads(text: str) -> dict:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dilatory.algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
 from dilatory.cli import main
@@ -573,6 +573,80 @@ def test_dumps_rejects_other_arrays(bad):
         dumps({"entries": bad})
 
 
+_stack_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e16, 5e-324, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _matrix_object_lists(draw):
+    """Lists of matrix objects of one shape whose rows repeat within and
+    across matrices, sometimes salted off the one-stack path."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    cell = st.builds(complex, _stack_values, _stack_values)
+    pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    # a row that differs from the first only where that one has a signed zero
+    pool.append([complex(-c.real if c.real == 0 else c.real, -c.imag if c.imag == 0 else c.imag) for c in pool[0]])
+    pick = st.integers(0, len(pool) - 1)
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(pick, min_size=rows, max_size=rows))
+        items.append(matrix_doc(np.array([pool[p] for p in picks], dtype=np.complex128).reshape(rows, cols)))
+    i = draw(st.integers(0, len(items) - 1))
+    salt = draw(
+        st.sampled_from(
+            ["none", "fortran", "other-shape", "extra-key", "size-type", "wrong-rows", "other-value"]
+        )
+    )
+    if salt == "fortran":
+        items[i]["entries"] = np.asfortranarray(items[i]["entries"])
+    elif salt == "other-shape":
+        items.insert(i, matrix_doc(np.full((rows + 1, cols), 1.5 - 0.0j)))
+    elif salt == "extra-key":
+        items[i]["note"] = "x"
+    elif salt == "size-type":
+        key = draw(st.sampled_from(["rows", "cols"]))
+        items[i][key] = draw(st.sampled_from([float, bool]))(items[i][key])
+    elif salt == "wrong-rows":
+        items[i]["rows"] = rows + 1
+    elif salt == "other-value":
+        items.insert(i, draw(st.one_of(st.none(), _floats, _text, st.just([]), st.just({}))))
+    return items
+
+
+@settings(deadline=None, max_examples=300)
+@given(items=_matrix_object_lists(), depth=st.integers(0, 2))
+# a bool size equal to the array's, which json spells true or false
+@example(items=[{"rows": True, "cols": 2, "entries": np.zeros((1, 2), dtype=complex)}], depth=0)
+@example(items=[matrix_doc(np.ones((2, 1))), {"rows": 2, "cols": True, "entries": np.ones((2, 1), dtype=complex)}], depth=1)
+@example(items=[{"rows": False, "cols": 3, "entries": np.zeros((0, 3), dtype=complex)}] * 2, depth=0)
+def test_dumps_of_matrix_object_lists_matches_json_reference(items, depth):
+    obj = {"pi_images": items, "V": items[-1]}
+    for _ in range(depth):
+        obj = {"m": [obj, {"x": items}]}
+    assert dumps(obj) == reference_dumps(_native_reference(obj))
+
+
+@settings(deadline=None, max_examples=100)
+@given(values=st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=1, max_size=8), depth=st.integers(0, 2))
+def test_dumps_of_float_lists_matches_json_reference(values, depth):
+    obj = {"gram_eigenvalues": values}
+    for _ in range(depth):
+        obj = {"m": [obj]}
+    assert dumps(obj) == reference_dumps(obj)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("blocks, k", [("4,4", 3), ("3,3,3", 2), ("6", 4), ("2,3", 3)])
+def test_cli_dilate_certificates_are_json_bytes(tmp_path, monkeypatch, blocks, k, seed):
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    code, phi = _cli_text(tmp_path, ["random", "--seed", str(seed), "--blocks", blocks, "--k", str(k)])
+    assert code == 0 and phi == reference_dumps(json.loads(phi))
+    fixture = tmp_path / "phi.json"
+    fixture.write_text(phi)
+    code, text = _cli_text(tmp_path, ["dilate", str(fixture)])
+    assert code == 0
+    assert text == reference_dumps(json.loads(text))
+
+
 def _cli_text(tmp_path, argv):
     out = tmp_path / "out.json"
     code = main(argv + ["--out", str(out)])
@@ -819,6 +893,52 @@ def test_decoders_refuse_what_a_flat_walk_could_miss(tmp_path, capsys, edit):
     good.write_text(dumps(encode_anchored_rep(rep)))
     payload = encode_anchored_rep(rep)
     payload["V"] = edited(payload["V"])
+    bad.write_text(json.dumps(payload))
+    assert main(["purify", str(good), str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_decoders_read_image_lists_as_the_per_entry_reference():
+    phi = random_cp_map(rng_for(101, 0), (2, 3), 3, kraus_rank=2)
+    rep = stinespring_dilate(phi, TOL).rep
+    for payload, decode, key in (
+        (encode_ocp_map(phi), decode_ocp_map, "basis_images"),
+        (encode_anchored_rep(rep), decode_anchored_rep, "pi_images"),
+    ):
+        payload = loads(dumps(payload))
+        got = getattr(decode(payload), key)
+        expected = np.stack([decode_matrix_per_entry(m) for m in payload[key]])
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda images: images.__setitem__(1, encode_matrix(np.eye(images[1]["rows"] + 1))),
+        lambda images: images[1].update(rows=images[1]["rows"] + 1),
+        lambda images: images[1].update(cols=images[1]["cols"] + 1),
+        lambda images: images.append(images[0]),
+        lambda images: images.pop(),
+    ],
+    ids=["other-shape", "rows-off", "cols-off", "one-extra", "one-missing"],
+)
+def test_decoders_refuse_an_image_list_of_another_shape(tmp_path, capsys, edit):
+    payload = encode_ocp_map(tracial_map(2, 2))
+    edit(payload["basis_images"])
+    with pytest.raises(MalformedInput):
+        decode_ocp_map(payload)
+    fixture = tmp_path / "map.json"
+    fixture.write_text(json.dumps(payload))
+    assert main(["dilate", str(fixture), "--out", str(tmp_path / "cert.json")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+    rep = stinespring_dilate(tracial_map(2, 2), TOL).rep
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dumps(encode_anchored_rep(rep)))
+    payload = encode_anchored_rep(rep)
+    edit(payload["pi_images"])
+    with pytest.raises(MalformedInput):
+        decode_anchored_rep(payload)
     bad.write_text(json.dumps(payload))
     assert main(["purify", str(good), str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
