@@ -15,8 +15,10 @@ matrix-unit presentation of each block, 2 n^2 products per block M_n
 instead of all dim^2 products of basis images, and one unit check covers
 all blocks; ``dilation.validate_rep`` runs it on a representation's images
 as the representation holds them, with no copy.  The commutant of a
-generating set is solved block by block in the eigenbasis of one generic
-element.
+generating set and its adjoints is H + iH, H its Hermitian part, so it is
+solved as a real system over Hermitian unknowns, block by block in the
+eigenbasis of one generic element, from the generators' own equations
+alone; the returned basis is Hermitian.
 """
 
 from __future__ import annotations
@@ -334,103 +336,180 @@ def _check_presentation(src: FdCStarAlgebra, images: np.ndarray, tol: Tolerance)
 
 
 def commutant(generators, ambient_dim: int, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
-    """Hilbert-Schmidt-orthonormal basis of the commutant of a generating set.
+    """Hilbert-Schmidt-orthonormal Hermitian basis of the commutant of a
+    generating set together with its adjoints.
 
-    Every X that commutes with each generator S and its adjoint commutes
-    with H = sum_i w_i Re S_i + w'_i Im S_i, so it is block diagonal over
-    H's eigenspaces: the first step of the block-diagonalisation of Murota,
-    Kanno, Kojima and Kojima (Japan J. Indust. Appl. Math. 27, 2010).  The
-    weights are golden-ratio fractional parts in [0.5, 1.5), with no RNG.
-    One eigensolve of H, with its sorted spectrum cut wherever consecutive
-    eigenvalues differ by more than 1e-2 max|lambda|, gives clusters, and
-    X = u blockdiag(Y_c) u* is solved for the sum_c m_c^2 unknowns of the
-    Y_c, not h^2.
+    That commutant is closed under adjoints, so it is H + iH for the real
+    space H = {X = X* : [S_i, X] = 0}, and a basis of H over the reals is a
+    basis of the commutant.  For Hermitian X, [S_i*, X] = -[S_i, X]*, so
+    only the generators' own equations are needed, in real arithmetic.
+
+    Every such X commutes with G = sum_i w_i Re S_i + w'_i Im S_i, so it is
+    block diagonal over G's eigenspaces: the first step of the
+    block-diagonalisation of Murota, Kanno, Kojima and Kojima (Japan J.
+    Indust. Appl. Math. 27, 2010).  The weights are golden-ratio fractional
+    parts in [0.5, 1.5), with no RNG.  One eigensolve of G, with its sorted
+    spectrum cut wherever consecutive eigenvalues differ by more than 1e-2
+    max|lambda|, gives clusters, and X = u blockdiag(Y_c) u* is solved for
+    the sum_c m_c^2 real unknowns of the Hermitian Y_c, not h^2: the m_c
+    diagonal entries and the real and imaginary parts of the upper ones.
+    Each unknown is the coefficient of an element of the Hilbert-Schmidt-
+    orthonormal Hermitian basis E_pp, (E_pq + E_qp) / sqrt 2 and
+    i (E_pq - E_qp) / sqrt 2, so an orthonormal null space gives an
+    orthonormal basis.
 
     Merging eigenspaces only enlarges the search space: a coarse gap costs
     time, never correctness.  A fine gap costs accuracy, since across a gap
-    g the computed eigenvectors mix by about eps ||H|| / g and that mixing
+    g the computed eigenvectors mix by about eps ||G|| / g and that mixing
     enters the commutation residual directly.  At 1e-2 the residual stays
     near the dense null space's: 5e-15 against 2.5e-15 on inflated
     dilations, where a gap of sqrt(eps_rank) gave 1.8e-13.
 
-    Column (i, j) of the reduced system is vec(S' E_ij - E_ij S') for
-    S' = u* S u and for its adjoint, scattered by index.  Row (i, j) is
-    entry (i, j) of S' X - X S', so it involves only the unknowns of the
-    clusters of i and of j.  The clusters whose first unknowns lie in one
-    stretch of 16 unknowns form a group, and the rows of each pair of
-    groups are folded, a few generators at a time, into a running
-    triangular factor over the unknowns of that pair alone.  Stacked, each
-    in its unknowns' columns, the pairs' factors form an R with A's
-    singular values and null space, so the commutator stack A is never
-    held, and the null space is read off the SVD of R.  On three clusters
-    of 25 unknowns that takes 2.6 times fewer flops than folding every row
-    over all 75 unknowns; a single group is folded as a whole.  The cut is
-    eps_rank times a stand-in for A's top singular
-    value: the larger of R's and |A|_F / h.  Both are at most A's, and the
-    second is within a factor h of it, so unknowns whose own equations are
-    all small (commuting generators, a cluster of nearly equal eigenvalues)
-    are still weighed against the whole stack.  A stand-in at or below
-    eps_rank * max ||S||_F is rounding (scalar generators), and every
-    block-diagonal Y commutes.  The cut itself never falls below
-    10 h eps max ||S||_F, the rounding with which the reduced system is
-    formed (||S||_2 <= ||S||_F): when the stack's top singular value is
-    under about 1e-7 of the generators' norm, eps_rank times it would
-    count rounding as rank (a conjugated diag(1, 1 + 1.8e-8) gave one
-    element instead of two).  All three tests are invariant under
-    rescaling the generators.
+    Column k of the reduced system A_H is [S', B_k] for S' = u* S u and the
+    basis element B_k, scattered by index and split into its real and
+    imaginary parts.  Write A for the complex system over all the entries of
+    the Y_c and the equations of the S_i and S_i*.  For X = P + iQ with P, Q
+    Hermitian, ||A X||^2 = 2 (||A_H P||^2 + ||A_H Q||^2), so A has the
+    singular values of A_H times sqrt 2, with the same multiplicities, and
+    ||A||_F^2 = 2 ||A_H||_F^2.  Every decision below is taken on
+    s = sqrt 2 sigma(A_H), so each is the one the complex system would take.
+
+    The two rows (i, j) are the real and imaginary parts of entry (i, j) of
+    S' X - X S', so they involve only the unknowns of the clusters of i and
+    of j.  The clusters whose first unknowns lie in one stretch of 16
+    unknowns form a group, and the rows of each pair of groups are folded,
+    a few generators at a time, into a running triangular factor over the
+    unknowns of that pair alone.  Stacked, each in its unknowns' columns,
+    the pairs' factors form an R with A_H's singular values and null space,
+    so A_H is never held, and the null space is read off the SVD of R.  On
+    three clusters of 25 unknowns that takes 2.6 times fewer flops than
+    folding every row over all 75 unknowns; a single group is folded as a
+    whole.  The index layout of the unknowns, rows and groups is built once
+    per tuple of cluster sizes.
+
+    The cut is eps_rank times a stand-in for A's top singular value: the
+    larger of s_1 and |A|_F / h.  Both are at most A's, and the second is
+    within a factor h of it, so unknowns whose own equations are all small
+    (commuting generators, a cluster of nearly equal eigenvalues) are still
+    weighed against the whole stack.  A stand-in at or below eps_rank *
+    max ||S||_F is rounding (scalar generators), and every block-diagonal Y
+    commutes.  The cut itself never falls below 10 h eps max ||S||_F, the
+    rounding with which the reduced system is formed (||S||_2 <= ||S||_F):
+    when the stack's top singular value is under about 1e-7 of the
+    generators' norm, eps_rank times it would count rounding as rank (a
+    conjugated diag(1, 1 + 1.8e-8) gave one element instead of two).  All
+    three tests are invariant under rescaling the generators.
     """
     n = int(ambient_dim)
     stack = as_stack(list(generators) or [numerics.zeros(n, n)], side=n)
+    flat = stack.reshape(len(stack), n * n)
 
-    # H = T + T* with T = sum_i z_i S_i and z_i = (w_i - i w'_i) / 2
-    weights = 0.5 + np.modf(np.arange(1, 2 * len(stack) + 1) * (1.0 + 5.0**0.5) / 2.0)[0]
-    z = 0.5 * (weights[0::2] - 1j * weights[1::2])
-    t = np.tensordot(z, stack, axes=1)
+    t = (_weights(len(stack)) @ flat).reshape(n, n)
     lam, u = numerics.hermitian_eig(t + dagger(t))
-    edges = np.flatnonzero(np.abs(np.diff(lam)) > _CLUSTER_GAP * max_abs(lam)) + 1
-    starts = np.concatenate(([0], edges))
-    sizes = np.diff(np.concatenate((starts, [n])))
-    # unknown p is the entry (rows[p], cols[p]) of one cluster's block Y_c
-    rows = np.concatenate([s + np.repeat(np.arange(m), m) for s, m in zip(starts, sizes)])
-    cols = np.concatenate([s + np.tile(np.arange(m), m) for s, m in zip(starts, sizes)])
-    unknowns = rows.size
+    # lam descends, so max|lam| = max(lam_0, -lam_last)
+    edges = np.flatnonzero(lam[:-1] - lam[1:] > _CLUSTER_GAP * max(lam[0], -lam[-1])) + 1
+    bounds = [0, *edges.tolist(), n]
+    unknowns, terms, pairs = _hermitian_layout(tuple(b - a for a, b in zip(bounds, bounds[1:])))
 
     primed = dagger(u) @ stack @ u
-    primed = np.concatenate([primed, np.conj(primed).transpose(0, 2, 1)])
-    # the group of each column of u, then per pair of groups a <= b the rows
-    # (i, j) whose groups are {a, b} and the unknowns of a and b; one group
-    # takes the whole block as it is
-    group = np.repeat((np.cumsum(sizes**2) - sizes**2) // _GROUP_UNKNOWNS, sizes)
-    low, high = np.minimum.outer(group, group), np.maximum.outer(group, group)
-    pairs = [
-        ((low == a) & (high == b), np.isin(group[rows], (a, b)))
-        for a, b in combinations_with_replacement(np.unique(group), 2)
-    ] if group[-1] else [(Ellipsis, slice(None))]
-    p = np.arange(unknowns)
-    parts = [np.zeros((0, p[own].size), dtype=np.complex128) for _, own in pairs]
+    parts = [None] * len(pairs)
     per_chunk = max(1, _CHUNK_BYTES // (16 * n * n * unknowns))
     for lo in range(0, len(primed), per_chunk):
-        chunk = primed[lo : lo + per_chunk]
-        # S' E_ij puts column i of S' in column j; E_ij S' puts row j in row i
-        block = np.zeros((len(chunk), n, n, unknowns), dtype=np.complex128)
-        block[:, :, cols, p] = chunk[:, :, rows]
-        block[:, rows, :, p] -= chunk[:, cols, :].transpose(1, 0, 2)
-        for k, (cell, own) in enumerate(pairs):
-            sub = block[:, cell][..., own].reshape(-1, parts[k].shape[1])
-            parts[k] = np.linalg.qr(np.concatenate([parts[k], sub]), mode="r")
-    r = np.zeros((sum(len(part) for part in parts), unknowns), dtype=np.complex128)
-    for end, part, (_, own) in zip(accumulate(len(part) for part in parts), parts, pairs):
-        r[end - len(part) : end, own] = part
+        block = _hermitian_columns(primed[lo : lo + per_chunk], terms, unknowns)
+        for k, (own, cell) in enumerate(pairs):
+            sub = block if own is None else block[own[:, None], :, cell]
+            # the real and imaginary parts of every row, as rows of A_H
+            sub = sub.reshape(len(sub), -1).view(np.float64).T
+            if parts[k] is not None:
+                sub = np.concatenate([parts[k], sub])
+            parts[k] = np.linalg.qr(sub, mode="r")
+    if pairs[0][0] is None:
+        r = parts[0]
+    else:
+        r = np.zeros((sum(len(part) for part in parts), unknowns))
+        for end, part, (own, _) in zip(accumulate(len(part) for part in parts), parts, pairs):
+            r[end - len(part) : end, own] = part
 
-    # |A|_F^2 = 4 h sum_i |S_i - tr(S_i) / h|_F^2 for the full stack A
-    centred = stack - (np.trace(stack, axis1=1, axis2=2) / n)[:, None, None] * numerics.eye(n)
+    # |A|_F^2 = 4 h sum_i |S_i - tr(S_i) / h|_F^2 for the complex system A
+    centred = flat.copy()
+    centred[:, :: n + 1] -= flat[:, :: n + 1].sum(axis=1, keepdims=True) / n
     sing, v = numerics.right_singular(r)
-    top = max(float(sing[0]), 2.0 * np.sqrt(np.sum(np.abs(centred) ** 2) / n))
-    norm = float(np.linalg.norm(stack, axis=(1, 2)).max())
+    # the singular values of the complex system A (see the docstring)
+    sing *= np.sqrt(2.0)
+    top = max(float(sing[0]), 2.0 * np.sqrt(np.vdot(centred, centred).real / n))
+    norm = float(np.sqrt(np.square(flat.view(np.float64)).sum(axis=1).max()))
     # a top not above the cut of the norm is rounding (see the docstring)
     floor = 10.0 * n * np.finfo(np.float64).eps * norm
     cut = tol.cut(top, floor) if top > tol.cut(norm) else np.inf
     rank = int(np.count_nonzero(sing > cut))
-    y = np.zeros((unknowns - rank, n, n), dtype=np.complex128)
-    y[:, rows, cols] = v[:, rank:].T
-    return list(u @ y @ dagger(u))
+    # Y = sum_k v_k B_k; an off-diagonal entry takes one term from each of
+    # its two unknowns
+    unknown, row, col, coef = terms
+    y = np.zeros((unknowns - rank, n * n), dtype=np.complex128)
+    np.add.at(y, (slice(None), row * n + col), coef * v[unknown, rank:].T)
+    return list(u @ y.reshape(-1, n, n) @ dagger(u))
+
+
+@lru_cache
+def _weights(count: int) -> np.ndarray:
+    """commutant's z_i = (w_i - i w'_i) / 2, from golden-ratio fractional
+    parts w, w' in [0.5, 1.5), so that G = T + T* for T = sum_i z_i S_i."""
+    weights = 0.5 + np.modf(np.arange(1, 2 * count + 1) * (1.0 + 5.0**0.5) / 2.0)[0]
+    z = 0.5 * (weights[0::2] - 1j * weights[1::2])
+    z.setflags(write=False)
+    return z
+
+
+def _hermitian_columns(primed: np.ndarray, terms, unknowns: int) -> np.ndarray:
+    """[S', B_k] for each S' of a (count, n, n) stack and each unknown k of
+    commutant's layout, as a complex (unknowns, count, n^2) array: its real
+    view holds, row by row, the columns of A_H."""
+    unknown, row, col, coef = terms
+    count, n = len(primed), primed.shape[-1]
+    block = np.zeros((unknowns, count, n, n), dtype=np.complex128)
+    # S' a E_rc puts a times column r of S' in column c, and
+    # a E_rc S' puts a times row c of S' in row r
+    block[unknown, :, :, col] = coef[:, None, None] * primed.transpose(2, 0, 1)[row]
+    block[unknown, :, row, :] -= coef[:, None, None] * primed.transpose(1, 0, 2)[col]
+    return block.reshape(unknowns, count, n * n)
+
+
+@lru_cache
+def _hermitian_layout(sizes: tuple[int, ...]):
+    """commutant's index layout for clusters of these sizes, read-only.
+
+    Returns (unknowns, (unknown, row, col, coef), pairs).  Unknown k is the
+    coefficient of B_k = sum over its terms of coef E_(row, col) in the
+    eigenbasis: one term for a diagonal unknown, two for an off-diagonal
+    one.  Each pair of groups is (own, cell), its unknowns and the flat
+    positions i n + j of its rows, or (None, None) when there is a single
+    group.
+    """
+    half = 0.5**0.5
+    terms = []
+    for start, m in zip(accumulate(sizes, initial=0), sizes):
+        for p in range(start, start + m):
+            terms.append([(p, p, 1.0)])
+            for q in range(p + 1, start + m):
+                terms.append([(p, q, half), (q, p, half)])
+                terms.append([(p, q, 1j * half), (q, p, -1j * half)])
+    flat = [(k, *term) for k, ts in enumerate(terms) for term in ts]
+    unknown, row, col, coef = map(np.array, zip(*flat))
+
+    # the group of each cluster, then per pair of groups a <= b the
+    # unknowns of a and b and the rows (i, j) whose groups are {a, b}
+    sizes = np.array(sizes)
+    cluster_group = (np.cumsum(sizes**2) - sizes**2) // _GROUP_UNKNOWNS
+    if cluster_group[-1] == 0:
+        pairs = [(None, None)]
+    else:
+        group, owner = np.repeat(cluster_group, sizes), np.repeat(cluster_group, sizes**2)
+        low = np.minimum.outer(group, group).ravel()
+        high = np.maximum.outer(group, group).ravel()
+        pairs = [
+            (np.flatnonzero(np.isin(owner, (a, b))), np.flatnonzero((low == a) & (high == b)))
+            for a, b in combinations_with_replacement(np.unique(cluster_group), 2)
+        ]
+    for a in [unknown, row, col, coef] + [x for pair in pairs for x in pair if x is not None]:
+        a.setflags(write=False)
+    return len(terms), (unknown, row, col, coef), pairs

@@ -4,7 +4,8 @@ Exit codes are part of the contract: 0 success, 1 law failure, 2 not
 completely positive, 3 malformed input, 4 restriction mismatch, 5 not
 unitarily equivalent.  The DILATORY_TOL environment variable overrides the
 default tolerance when --tol is not given explicitly; a tolerance that is not
-a positive number below 1, like a --dims below 1, is malformed input.
+a positive number below 1, like a --dims below 1 or a negative --seed (laws
+and random alike), is malformed input.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ def cmd_purify(args) -> int:
 def cmd_laws(args) -> int:
     if args.dims < 1:
         _reject(f"--dims {args.dims}; the largest block size must be at least 1")
+    if args.seed < 0:
+        _reject(f"--seed {args.seed}; a seed must be a non-negative integer")
     tol = _tolerance_from(args)
     try:
         result = run_default_suite(

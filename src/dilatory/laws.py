@@ -610,13 +610,18 @@ def _negative_controls(
     checks = [_holds(univ.L, 1.01 * through, tol)]
     controls.append(LawReport.from_checks("control_perturbed_counit", checks))
 
-    # the A -> A (+) tr(A)/2 padding is not multiplicative; the gate must say so
-    padded = _fake_unital_padding()
-    report = check_star_hom(padded, tol)
+    controls.append(_padding_control(tol))
+    return controls
+
+
+@functools.lru_cache(maxsize=16)
+def _padding_control(tol: Tolerance) -> LawReport:
+    """The A -> A (+) tr(A)/2 padding is not multiplicative; the gate must
+    say so.  The map is fixed, so the report is computed once per tolerance."""
+    report = check_star_hom(_fake_unital_padding(), tol)
     checks = [(report.ok, report.residuals["multiplicative"])]
     slipped = ("padding map slipped through the gate",) if report.ok else ()
-    controls.append(LawReport.from_checks("control_padding_not_hom", checks, slipped))
-    return controls
+    return LawReport.from_checks("control_padding_not_hom", checks, slipped)
 
 
 def _fake_unital_padding() -> StarHom:

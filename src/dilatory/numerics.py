@@ -1,10 +1,11 @@
-"""Dense complex linear-algebra kernel.
+"""Dense linear-algebra kernel, complex except where a caller hands it a
+real system.
 
 Deterministic Hermitian eigendecomposition, SVD, tolerances, and Kronecker
 products.  Every decomposition applies the same phase-fixing rule
-(largest-magnitude entry of each vector made real and positive), so repeated
-runs on the same input are bit-identical and downstream constructions are
-reproducible.
+(largest-magnitude entry of each vector made real and positive; on a real
+vector that is a sign), so repeated runs on the same input are bit-identical
+and downstream constructions are reproducible.
 
 The phase rule runs on all columns at once and reproduces, bit for bit, the
 per-column scalar rule ``conj(z) / abs(z)`` it replaced, z the first entry
@@ -20,9 +21,13 @@ There are three SVD kernels.  ``svd`` returns the full left basis U and
 serves only the callers that read U's orthogonal complement
 (``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
-callers that need only a rank or a null space (``algebra.commutant``,
-``dilation.is_minimal``, ``geometry.partial_isometry_report``); on a tall
-input U would be square in the row count.  ``singular_values`` returns only
+callers that need only a rank or a null space; on a tall input U would be
+square in the row count.  It keeps a real input real: ``algebra.commutant``
+hands it the real triangular factor of its system over Hermitian unknowns,
+while ``dilation.is_minimal`` (the adjoint of its spanning columns) and
+``geometry.partial_isometry_report`` (the caller's matrix, coerced by
+``as_matrix``) hand it complex arrays.  All three build or coerce what they
+pass, so it checks nothing.  ``singular_values`` returns only
 the values, for a whole stack of matrices in one call
 (``geometry.classify_partial_isometries``).
 """
@@ -255,17 +260,30 @@ def right_singular(m):
     ``s`` descends and ``v`` is square, so its trailing columns span the null
     space.  A tall input is first reduced to its triangular factor R of
     ``m = QR``, which has the same ``s`` and ``v``, and only R is decomposed
-    (Chan's R-SVD).  Every column of ``v`` is phase-fixed.
+    (Chan's R-SVD).  A real input stays real, and each column of ``v`` gets
+    the sign that makes its largest entry positive; a complex one gets the
+    phase rule.  ``m`` is an array the package built or already coerced:
+    nothing is checked here.
     """
-    a = as_matrix(m)
     try:
-        if a.shape[0] > a.shape[1]:
-            a = np.linalg.qr(a, mode="r")
-        _, s, vh = np.linalg.svd(a)
+        if m.shape[0] > m.shape[1]:
+            m = np.linalg.qr(m, mode="r")
+        _, s, vh = np.linalg.svd(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     v = dagger(vh)
-    return s, v * _fix_phases(v)
+    if np.iscomplexobj(v):
+        return s, v * _fix_phases(v)
+    return s, v * _fix_signs(v)
+
+
+def _fix_signs(v: np.ndarray) -> np.ndarray:
+    """The phase rule on a real matrix: the sign of each column's first entry
+    of largest modulus, or 1 for a zero column."""
+    if v.size == 0:
+        return np.ones(v.shape[1])
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return np.where(top < 0.0, -1.0, 1.0)
 
 
 def singular_values(stack) -> np.ndarray:

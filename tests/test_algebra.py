@@ -462,6 +462,83 @@ def test_commutant_counts_a_split_below_the_relative_cut(seed):
         assert max_abs(cols @ (cols.conj().T @ p) - p) <= 1e-6
 
 
+def _hermitian_system(generators, n):
+    """commutant's real system over all n^2 Hermitian unknowns (one cluster,
+    the standard basis): the rows are the real and imaginary parts of the
+    entries of [S, B_k], B_k the Hilbert-Schmidt-orthonormal Hermitian basis."""
+    unknowns, terms, _ = algebra_module._hermitian_layout((n,))
+    stack = np.array(generators, dtype=np.complex128).reshape(len(generators), n, n)
+    block = algebra_module._hermitian_columns(stack, terms, unknowns)
+    return block.reshape(unknowns, -1).view(np.float64).T
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(0, 4),
+    n=st.integers(1, 5),
+    log_scale=st.floats(-12.0, 12.0),
+)
+def test_hermitian_system_has_the_complex_stack_singular_values_over_sqrt2(
+    seed, count, n, log_scale
+):
+    # complex Gaussians are not closed under adjoints; the complex stack over
+    # S and S* has sqrt 2 times the singular values of the real system over
+    # Hermitian unknowns, which every rank decision of commutant relies on
+    rng = np.random.default_rng(seed)
+    s = 10.0**log_scale
+    generators = [s * randgen.complex_gaussian(rng, n, n) for _ in range(count)]
+    real = np.linalg.svd(_hermitian_system(generators, n), compute_uv=False)
+    stack = _commutator_stack(generators, n) if generators else np.zeros((0, n * n))
+    ref = np.linalg.svd(stack, compute_uv=False)
+    assert real.shape == ref.shape
+    assert max_abs(np.sqrt(2.0) * real - ref) <= 1e-13 * (ref[0] if ref.size else 0.0)
+    basis = commutant(generators, n, TOL)
+    for x in basis:
+        assert max_abs(x - x.conj().T) <= 1e-14
+    cols = np.stack([x.reshape(-1) for x in basis], axis=1)
+    assert max_abs(cols.conj().T @ cols - np.eye(len(basis))) <= 1e-13
+
+
+# rep-audit's (blocks, k, Kraus rank, junk multiplicities), h from 1 to 15,
+# and (4, 4) at h = 24
+AUDIT_SHAPES = [
+    ((3,), 3, 3, (2,)), ((2, 2), 2, 2, (1, 1)), ((4,), 2, 2, (0,)), ((3,), 2, 2, (1,)),
+    ((2, 2), 2, 1, (1, 1)), ((2,), 3, 3, (2,)), ((1, 2), 3, 2, (1, 1)),
+    ((1,), 1, 1, (0,)), ((1,), 2, 2, (1,)), ((2,), 1, 1, (0,)), ((2,), 2, 1, (1,)),
+    ((2,), 2, 2, (0,)), ((1, 1), 1, 1, (1, 0)), ((1, 1), 2, 2, (1, 1)),
+    ((1, 2), 1, 1, (0, 1)), ((2,), 1, 1, (2,)), ((3,), 1, 1, (0,)),
+    ((1, 1, 1), 1, 1, (1, 0, 1)), ((3,), 1, 1, (1,)), ((1, 2), 2, 1, (0, 0)),
+    ((4, 4), 2, 2, (1, 1)),
+]
+
+
+@pytest.mark.parametrize("i, shape", list(enumerate(AUDIT_SHAPES)))
+def test_commutant_matches_the_normal_form(i, shape):
+    # two independent routes to one subspace: R pi(a) R* = (+)_j a_j (x) 1_{c_j},
+    # so the commutant is R* ((+)_j 1_{n_j} (x) M_{c_j}) R, with the
+    # Hilbert-Schmidt-orthonormal basis R* (1_{n_j} (x) E_pq / sqrt n_j) R
+    from dilatory.geometry import normal_form_general_rep
+
+    blocks, k, rank, extra = shape
+    rng = rng_for(11, i)
+    phi = random_cp_map(rng, blocks, k, kraus_rank=rank)
+    rep = inflate_rep(rng, stinespring_dilate(phi, TOL), list(extra))
+    mults, r = normal_form_general_rep(rep.pi_images, rep.algebra, TOL)
+    reference = []
+    for j, (n, c) in enumerate(zip(blocks, mults)):
+        for unit in np.eye(c * c).reshape(c * c, c, c):
+            parts = [kron(np.eye(n), unit) / np.sqrt(n) if jj == j else np.zeros((nn * cc,) * 2)
+                     for jj, (nn, cc) in enumerate(zip(blocks, mults))]
+            reference.append(r.conj().T @ block_diag(parts) @ r)
+    basis = commutant(rep.pi_images, rep.h, TOL)
+    assert len(basis) == len(reference) == sum(c * c for c in mults)
+    cols = np.stack([x.reshape(-1) for x in basis], axis=1)
+    ref = np.stack([z.reshape(-1) for z in reference], axis=1)
+    assert max_abs(ref.conj().T @ ref - np.eye(ref.shape[1])) <= 1e-13
+    assert max_abs(cols @ cols.conj().T - ref @ ref.conj().T) <= 1e-13
+
+
 def boxplus_reference(algebra, mults):
     """boxplus_rep_images as it was built before its index cache: one np.ix_
     scatter per block."""

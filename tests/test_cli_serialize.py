@@ -332,6 +332,9 @@ def _exit_code(argv):
         (["dilate", "{fixture}", "--tol", "1"], None),
         (["dilate", "{fixture}", "--tol", "10"], None),
         (["dilate", "{fixture}"], "10"),
+        (["laws", "--seed", "-1", "--draws", "1"], None),
+        (["laws", "--seed", "-1", "--draws", "0"], None),
+        (["random", "--seed", "-1"], None),
     ],
 )
 def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env):

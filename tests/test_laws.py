@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -264,6 +265,8 @@ def test_default_suite_builds_each_construction_once(monkeypatch):
     """One laws draw gates each of its four homs once (f, f_outer, f' and
     the padding control), builds each of its 8 distinct mediating morphisms
     once and its universal factorization once."""
+    # the padding control is gated once per tolerance: start from a cold cache
+    laws._padding_control.cache_clear()
     gated = []
     real_gate = laws.check_star_hom
 
@@ -279,6 +282,7 @@ def test_default_suite_builds_each_construction_once(monkeypatch):
     assert len(gated) == len({id(f) for f in gated}) == 4
     assert gated[-1].target.blocks == (2, 3)  # the padding control
     assert counts == {"mediating_morphism": 8, "universal_factorization": 1}
+    laws._padding_control.cache_clear()
 
 
 def test_default_suite_transports_each_draw_once(monkeypatch):
@@ -517,3 +521,30 @@ def test_counterexample_suite_runs_once_per_tolerance(monkeypatch):
     assert seen == [TOL, TOL, other, other]
     assert first.reports[-2] == counterexample_suite(TOL)
     laws.counterexample_suite.cache_clear()
+
+
+def test_padding_control_gates_once_per_tolerance(monkeypatch, tmp_path, request):
+    # the padding control's report depends only on the tolerance, so two
+    # `laws` runs at one tolerance gate the padding map once between them
+    from dilatory.cli import main
+
+    laws._padding_control.cache_clear()
+    request.addfinalizer(laws._padding_control.cache_clear)
+    monkeypatch.delenv("DILATORY_TOL", raising=False)
+    padding = _fake_unital_padding()
+    gated = []
+    real = laws.check_star_hom
+
+    def spy(f, tol):
+        if (f.source, f.target) == (padding.source, padding.target):
+            assert np.array_equal(f.matrix, padding.matrix)
+            gated.append(tol)
+        return real(f, tol)
+
+    monkeypatch.setattr(laws, "check_star_hom", spy)
+    for seed in ("0", "1"):
+        out = tmp_path / f"laws{seed}.json"
+        assert main(["laws", "--seed", seed, "--draws", "1", "--out", str(out)]) == 0
+        controls = {c["name"]: c for c in json.loads(out.read_text())["negative_controls"]}
+        assert controls["control_padding_not_hom"]["failed_as_required"]
+    assert gated == [TOL]

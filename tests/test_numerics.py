@@ -292,6 +292,32 @@ def test_right_singular_matches_full_svd(rows, cols, rank, seed):
     assert v.tobytes() == v2.tobytes()
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_right_singular_keeps_a_real_input_real(rows, cols, rank, seed):
+    # commutant's system over Hermitian unknowns is real; the phase rule on
+    # a real V is a sign, the largest entry of each column made positive
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    m = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    s, v = right_singular(m)
+    ref = np.linalg.svd(m, compute_uv=False)
+    scale = max(1.0, float(ref[0]) if ref.size else 0.0)
+    assert s.dtype == v.dtype == np.float64
+    assert max_abs(s - ref) <= 1e-12 * scale
+    assert v.shape == (cols, cols)
+    assert max_abs(v.T @ v - np.eye(cols)) <= 1e-12
+    assert max_abs(m @ v[:, rank:]) <= 1e-12 * scale
+    assert np.all(v[np.argmax(np.abs(v), axis=0), np.arange(cols)] > 0)
+    s2, v2 = right_singular(m.copy())
+    assert v.tobytes() == v2.tobytes()
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     shapes=st.tuples(*[st.integers(0, 4)] * 4),
