@@ -4,14 +4,22 @@ Exit codes are part of the contract: 0 success, 1 law failure, 2 not
 completely positive, 3 malformed input, 4 restriction mismatch, 5 not
 unitarily equivalent.  The DILATORY_TOL environment variable overrides the
 default tolerance when --tol is not given explicitly; a tolerance that is not
-a positive number below 1, like a --dims below 1 or a negative --seed (laws
-and random alike), is malformed input.
+a positive number below 1, like a --dims below 1, a negative laws --draws or
+a negative --seed (laws and random alike), is malformed input, and so is a
+usage error (an unknown command or option, a missing argument, a value of
+the wrong type).
+
+main runs each command with the cyclic garbage collector paused, since a
+command makes no reference cycles and the collector would otherwise
+re-walk every large document json.loads builds.  An in-process caller gets
+its own collector setting back however main ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 from typing import NoReturn
@@ -26,7 +34,7 @@ from .errors import (
     RestrictionMismatch,
     ShapeMismatch,
 )
-from .geometry import purification_residuals, purify_partial, purify_unitary
+from .geometry import _purify
 from .laws import run_default_suite
 from .numerics import Tolerance, _MACHINE_EPS
 from .randgen import random_cp_map, rng_for
@@ -124,11 +132,7 @@ def cmd_purify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        if args.allow_inequivalent:
-            u, label = purify_partial(rep1, rep2, tol)
-        else:
-            u = purify_unitary(rep1, rep2, tol)
-            label = "unitary"
+        u, label, residuals = _purify(rep1, rep2, tol, args.allow_inequivalent)
     except RestrictionMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESTRICTION
@@ -142,7 +146,6 @@ def cmd_purify(args) -> int:
         # e.g. the inputs are not representations at tolerance
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    residuals = purification_residuals(u, rep1, rep2)
     payload = {
         "schema": SCHEMA,
         "kind": "purification",
@@ -160,6 +163,8 @@ def cmd_laws(args) -> int:
         _reject(f"--dims {args.dims}; the largest block size must be at least 1")
     if args.seed < 0:
         _reject(f"--seed {args.seed}; a seed must be a non-negative integer")
+    if args.draws < 0:
+        _reject(f"--draws {args.draws}; the number of draws must be at least 0")
     tol = _tolerance_from(args)
     try:
         result = run_default_suite(
@@ -302,8 +307,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command with the cyclic garbage collector paused.
+
+    A command builds only trees (JSON documents, arrays, frozen dataclasses),
+    so the collector finds nothing to free; yet while json.loads builds a
+    dense document, one list per [re, im] pair and per row, it would walk
+    the growing tree again every few hundred allocations.  On return, exit
+    or exception the collector is enabled again if, and only if, it was on
+    when main was called.  argparse's usage errors exit 3, malformed input.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            if exc.code == 2:  # argparse's usage error; --help exits 0
+                raise SystemExit(EXIT_PARSE) from None
+            raise
+        return args.func(args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -295,15 +295,7 @@ def purify_unitary(
     the deterministic completion, so callers should assert its properties
     rather than its entries.
     """
-    c1, c2, r, s, factors = _purify_pipeline(rep1, rep2, tol)
-    if c1 != c2:
-        raise NotEquivalent(
-            f"multiplicity vectors {c1} and {c2} differ; use purify_partial"
-        )
-    extensions = [extend_partial_isometry(p, tol) for p in factors]
-    u = _assemble(rep1.algebra.blocks, c1, c2, r, s, extensions)
-    _verify_purification(u, rep1, rep2, tol, require_unitary=True)
-    return u
+    return _purify(rep1, rep2, tol, allow_inequivalent=False)[0]
 
 
 def purify_partial(
@@ -317,10 +309,26 @@ def purify_partial(
     extension order.  Returns (U, label) with label one of "unitary",
     "isometry", "co-isometry", "mixed".
     """
+    u, label, _ = _purify(rep1, rep2, tol, allow_inequivalent=True)
+    return u, label
+
+
+def _purify(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance, allow_inequivalent: bool):
+    """(U, label, residuals), the residuals being the ones U was verified
+    by: the one path behind purify_unitary, purify_partial and the CLI,
+    which writes them.  Without allow_inequivalent, unequal multiplicities
+    or a U that is not unitary raise NotEquivalent, so the label is always
+    "unitary"."""
     c1, c2, r, s, factors = _purify_pipeline(rep1, rep2, tol)
+    if not allow_inequivalent and c1 != c2:
+        raise NotEquivalent(
+            f"multiplicity vectors {c1} and {c2} differ; use purify_partial"
+        )
     extensions = [extend_partial_isometry(p, tol) for p in factors]
     u = _assemble(rep1.algebra.blocks, c1, c2, r, s, extensions)
-    _verify_purification(u, rep1, rep2, tol, require_unitary=False)
+    residuals = _verify_purification(
+        u, rep1, rep2, tol, require_unitary=not allow_inequivalent
+    )
     grows = any(c < d for c, d in zip(c1, c2))
     shrinks = any(c > d for c, d in zip(c1, c2))
     if not grows and not shrinks:
@@ -331,7 +339,7 @@ def purify_partial(
         label = "isometry"
     else:
         label = "co-isometry"
-    return u, label
+    return u, label, residuals
 
 
 def purification_residuals(u, rep1: AnchoredRep, rep2: AnchoredRep) -> dict:
@@ -348,7 +356,8 @@ def _verify_purification(u, rep1, rep2, tol: Tolerance, require_unitary: bool):
     """Refuse U unless it intertwines, carries V onto W and, when asked, is
     unitary.  The anchor residual |U V - W| is weighed against the larger
     anchor, so rescaling both anchors moves no decision; the other residuals
-    are scale-free.  Each at 10 times its scale, as in tensor_factor_extract."""
+    are scale-free.  Each at 10 times its scale, as in tensor_factor_extract.
+    Returns the residuals it checked."""
     res = purification_residuals(u, rep1, rep2)
     anchor_scale = 10.0 * max(max_abs(rep1.V), max_abs(rep2.V))
     if not (tol.within(res["intertwine"], 10.0) and tol.within(res["anchor"], anchor_scale)):
@@ -356,3 +365,4 @@ def _verify_purification(u, rep1, rep2, tol: Tolerance, require_unitary: bool):
     unitary = max(res["isometry_defect"], res["coisometry_defect"])
     if require_unitary and not tol.within(unitary, 10.0):
         raise NotEquivalent(f"assembled map is not unitary: {res}")
+    return res

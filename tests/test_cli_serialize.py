@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -167,17 +168,20 @@ def test_cli_dilate_scalar_fixture(tmp_path):
     assert json.loads(out.read_text())["dimension"] == 2
 
 
-def test_cli_dilate_transpose_exit_2(tmp_path, capsys):
+def _transpose_map() -> OcpMap:
+    """The transpose on M_2: positive, not completely positive."""
     domain = FdCStarAlgebra((2,))
     images = []
     for _, a, b in domain.basis_labels():
         e = np.zeros((2, 2), dtype=complex)
         e[b, a] = 1.0
         images.append(e)
-    from dilatory.cpmap import OcpMap
+    return OcpMap(domain, 2, tuple(images))
 
+
+def test_cli_dilate_transpose_exit_2(tmp_path, capsys):
     fixture = tmp_path / "transpose.json"
-    fixture.write_text(dumps(encode_ocp_map(OcpMap(domain, 2, tuple(images)))))
+    fixture.write_text(dumps(encode_ocp_map(_transpose_map())))
     out = tmp_path / "report.json"
     code = main(["dilate", str(fixture), "--out", str(out)])
     assert code == 2
@@ -335,6 +339,7 @@ def _exit_code(argv):
         (["laws", "--seed", "-1", "--draws", "1"], None),
         (["laws", "--seed", "-1", "--draws", "0"], None),
         (["random", "--seed", "-1"], None),
+        (["laws", "--draws", "-3"], None),
     ],
 )
 def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env):
@@ -1009,8 +1014,111 @@ def test_cli_builds_its_parser_once(tmp_path, monkeypatch, request):
     assert main(["dilate", out, "--out", str(tmp_path / "cert.json")]) == 0
     assert main(["laws", "--draws", "1", "--out", out]) == 0
     assert built.count("dilatory") == 1
-    # argparse errors still exit 2 after a good call, and leave no state
-    assert _exit_code(["laws", "--draws", "x"]) == 2
+    # argparse errors exit 3 after a good call, and leave no state
+    assert _exit_code(["laws", "--draws", "x"]) == 3
     assert _exit_code(["laws", "--seed", "2", "--draws", "1", "--out", out]) == 0
     assert json.loads(open(out).read())["seed"] == 2
     assert built.count("dilatory") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["laws", "--draws", "x"], 3),
+        (["dilate"], 3),
+        (["purify", "rep1.json"], 3),
+        (["frobnicate"], 3),
+        ([], 3),
+        (["laws", "--help"], 0),
+        (["--help"], 0),
+    ],
+)
+def test_cli_usage_errors_exit_3_and_help_exits_0(capsys, argv, code):
+    # 2 is the contract's "not completely positive", never a usage error
+    assert _exit_code(argv) == code
+    assert "usage: dilatory" in capsys.readouterr()[code != 0]
+
+
+def _cycles_left(argv):
+    """(exit code, cyclic garbage found afterwards) of main(argv) run with
+    the collector off, as main itself runs a command."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code = _exit_code(argv)
+        return code, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_cli_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # a paused collector is only safe if no command path makes a cycle
+    tau = tmp_path / "tau.json"
+    tau.write_text(dumps(encode_ocp_map(tracial_map(2, 1))))
+    not_cp = tmp_path / "transpose.json"
+    not_cp.write_text(dumps(encode_ocp_map(_transpose_map())))
+    junk = tmp_path / "junk.json"
+    junk.write_text("{]")
+
+    def reps(name, pair):
+        paths = [tmp_path / f"{name}{i}.json" for i in (1, 2)]
+        for path, rep in zip(paths, pair):
+            path.write_text(dumps(encode_anchored_rep(rep)))
+        return [str(p) for p in paths]
+
+    rng = rng_for(96, 0)
+    same = reps("same", random_dilation_pair(rng, (2,), 2, TOL, [1], [1])[2:])
+    mixed = reps("mixed", random_dilation_pair(rng, (1, 2), 1, TOL, [2, 0], [0, 2])[2:])
+    other = reps("other", (random_dilation_pair(rng, (2,), 2, TOL)[2],
+                           random_dilation_pair(rng, (2,), 2, TOL)[2]))
+    out = ["--out", str(tmp_path / "out.json")]
+    cases = [
+        (["dilate", str(tau)], 0),
+        (["dilate", str(not_cp)], 2),
+        (["dilate", str(junk)], 3),
+        (["dilate", str(tmp_path / "missing.json")], 3),
+        (["dilate", str(tau), "--tol", "nan"], 3),
+        (["purify", *same], 0),
+        (["purify", *mixed, "--allow-inequivalent"], 0),
+        (["purify", *other], 4),
+        (["purify", *mixed], 5),
+        (["laws", "--seed", "1", "--draws", "3"], 0),
+        (["laws", "--draws", "2", "--tol", "1e-30"], 1),
+        (["laws", "--seed", "-1"], 3),
+        (["random", "--seed", "2", "--blocks", "1,2"], 0),
+        (["random", "--blocks", "", "--k", "2"], 3),
+    ]
+    for argv, code in cases:
+        assert _cycles_left(argv + out) == (code, 0), argv
+
+
+def test_cli_restores_the_collector_however_main_ends(monkeypatch, tmp_path, capsys):
+    from dilatory import cli
+
+    out = str(tmp_path / "out.json")
+    seen = []
+
+    def broken(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["random", "--seed", "1", "--out", out]) == 0
+            assert gc.isenabled() is enabled
+            assert _exit_code(["laws", "--seed", "-1", "--out", out]) == 3
+            assert gc.isenabled() is enabled
+            assert _exit_code(["laws", "--draws", "x"]) == 3
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(cli, "random_cp_map", broken)
+                with pytest.raises(RuntimeError, match="boom"):
+                    main(["random", "--seed", "1", "--out", out])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+    # the command itself ran with the collector paused
+    assert seen == [False, False]
