@@ -1,47 +1,53 @@
 #!/usr/bin/env python3
 """Run the categorical law ensemble and print a residual table.
 
-Usage: python scripts/run_laws.py [--seed S] [--draws N] [--dims D]
+Usage: python scripts/run_laws.py [--seed S] [--draws N] [--dims D] [--tol T]
+
+The arguments go to `dilatory laws` as they are, so its input rules, its
+tolerance rule and its exit codes are this script's too; the table is read
+from the JSON it writes.
 """
 
-import argparse
+import contextlib
+import io
+import json
 import sys
 import time
 
-from dilatory.laws import run_default_suite
-from dilatory.numerics import Tolerance
+from dilatory.cli import main as dilatory
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--draws", type=int, default=100)
-    parser.add_argument("--dims", type=int, default=3)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    args = parser.parse_args()
-
-    tol = Tolerance(eps_rank=max(args.tol, 2.3e-16), eps_eq=args.tol)
+def main(argv) -> int:
+    text = io.StringIO()
     start = time.perf_counter()
-    result = run_default_suite(seed=args.seed, draws=args.draws, max_dim=args.dims, tol=tol)
+    try:
+        with contextlib.redirect_stdout(text):
+            code = dilatory(["laws", *argv, "--out", "-"])
+    except SystemExit:
+        # --help, or refused input, which dilatory explains on stderr
+        sys.stdout.write(text.getvalue())
+        raise
     elapsed = time.perf_counter() - start
+    result = json.loads(text.getvalue())
 
-    print(f"law suite: seed={args.seed} draws={args.draws} dims<={args.dims} "
-          f"({elapsed:.2f}s)")
+    print(f"law suite: seed={result['seed']} draws={result['draws']} ({elapsed:.2f}s)")
+    if "error" in result:
+        print(f"error: {result['error']}")
     print(f"{'law':<28}{'max residual':>14}  verdict")
-    for report in result.reports:
-        verdict = "pass" if report.passed else "FAIL"
-        print(f"{report.name:<28}{report.max_residual:>14.3e}  {verdict}")
-        for witness in report.witnesses:
+    for report in result.get("reports", []):
+        verdict = "pass" if report["passed"] else "FAIL"
+        print(f"{report['name']:<28}{report['max_residual']:>14.3e}  {verdict}")
+        for witness in report["witnesses"]:
             print(f"    witness: {witness}")
     print()
     print(f"{'negative control':<34}{'residual':>14}  verdict")
-    for control in result.controls:
-        verdict = "fails as required" if control.failed_as_required else "UNEXPECTEDLY PASSES"
-        print(f"{control.name:<34}{control.max_residual:>14.3e}  {verdict}")
+    for control in result.get("negative_controls", []):
+        verdict = "fails as required" if control["failed_as_required"] else "UNEXPECTEDLY PASSES"
+        print(f"{control['name']:<34}{control['max_residual']:>14.3e}  {verdict}")
     print()
-    print("overall:", "OK" if result.ok else "FAILED")
-    return 0 if result.ok else 1
+    print("overall:", "OK" if result["ok"] else "FAILED")
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -46,7 +46,6 @@ from .serialize import (
     dumps,
     encode_tolerance,
     loads,
-    matrix_doc,
     ocp_map_doc,
 )
 
@@ -150,7 +149,7 @@ def cmd_purify(args) -> int:
         "schema": SCHEMA,
         "kind": "purification",
         "label": label,
-        "U": matrix_doc(u),
+        "U": u,
         "residuals": {k: float(v) for k, v in sorted(residuals.items())},
         "tolerance": encode_tolerance(tol),
     }

@@ -300,8 +300,14 @@ def stine_on_morphism(
     ok, res = is_ocp_morphism(mat, src_cert.source, dst_cert.source, tol)
     if not ok:
         raise NotMorphism(f"T is not a morphism of CP maps; residual {res:.3e}")
-    l_t = _span_columns(dst_cert.rep, dst_cert.rep.V @ mat) @ src_cert.q_pinv
-    return RepMorphism(mat, l_t)
+    return RepMorphism(mat, _transport(mat, dst_cert.rep, src_cert))
+
+
+def _transport(mat: np.ndarray, rep: AnchoredRep, cert: DilationCertificate) -> np.ndarray:
+    """The L both transports of T build, into rep out of the canonical
+    dilation cert: the span columns of rep at the anchor V T times Q+.
+    It does not gate T; each caller has."""
+    return _span_columns(rep, rep.V @ mat) @ cert.q_pinv
 
 
 def pullback_rep(rep: AnchoredRep, f: StarHom) -> AnchoredRep:
@@ -363,8 +369,7 @@ def universal_factorization(
         raise NotMorphism(
             f"T is not a morphism into the restriction of the target; residual {res:.3e}"
         )
-    cols = _span_columns(target, target.V @ mat)
-    return RepMorphism(mat, cols @ cert.q_pinv)
+    return RepMorphism(mat, _transport(mat, target, cert))
 
 
 def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -11,13 +11,13 @@ gate it runs passes by its own verdict and each identity a = b it checks
 holds at the size of the terms it compares, max|a - b| <= eps_eq
 max(max|a|, max|b|).  So no verdict moves when the maps or the morphisms are
 rescaled, and max_residual is the largest raw residual.  The default suite
-dilates each sampled map once, transports each sampled morphism once, gates
-each sampled homomorphism once and builds each mediating morphism once,
-handing them to the checkers' bodies, and mixes positive ensembles with
-negative controls (draw 0's objects, sabotaged, that must fail loudly), so a
-tolerance bug cannot silently turn every check green.  The partial-isometry
-suite draws all its samples first and classifies every one of them in a
-single padded batch.
+dilates each sampled map once, gates and transports each sampled morphism
+once, gates each sampled homomorphism once and builds each mediating
+morphism once, handing them to the checkers' bodies, and mixes positive
+ensembles with negative controls (draw 0's objects, sabotaged, that must
+fail loudly), so a tolerance bug cannot silently turn every check green.
+The partial-isometry suite draws all its samples first and classifies
+every one of them in a single padded batch.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .dilation import (
     AnchoredRep,
     DilationCertificate,
     RepMorphism,
+    _transport,
     is_rep_morphism,
     mediating_morphism,
     pullback_rep,
@@ -517,7 +518,8 @@ def run_default_suite(
         # a morphism between two inflated dilations, neither of them canonical:
         # L_T conjugated by the mediating isometries of both sides
         src_inflated = inflate_rep(rng, cert_m, extra_m)
-        l_t = stine_on_morphism(t_m, tol, src_cert=cert_m, dst_cert=cert_psi)
+        # univ gated T into the restriction of the target, which cert_psi dilates
+        l_t = RepMorphism(univ.T, _transport(univ.T, cert_psi.rep, cert_m))
         m_canonical = mediating_morphism(cert_m.rep, cert=cert_m)
         m_src = mediating_morphism(src_inflated, cert=cert_m)
         m_dst = mediating_morphism(target, cert=cert_psi)

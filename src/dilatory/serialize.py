@@ -19,27 +19,31 @@ the float range is malformed input too), converted in one call.  Finiteness
 is left to the ``OcpMap`` and ``AnchoredRep`` constructors the decoders
 build.
 
-The document builders ``matrix_doc``, ``ocp_map_doc``, ``anchored_rep_doc``
-and ``certificate_doc`` leave each matrix's "entries" as its 2-D complex128
-array; the public ``encode_*`` functions return the same documents with
-those arrays turned into JSON-native [re, im] lists.
+The document builders ``ocp_map_doc``, ``anchored_rep_doc`` and
+``certificate_doc`` put the objects' own arrays in the document unchanged:
+a map's basis images and a rep's pi images as their (count, side, side)
+stacks, V, Q and the CLI's U as 2-D arrays.  The type of an array alone
+says how it is written: a 2-D complex128 array is one matrix object
+{"rows", "cols", "entries"}, with row-major nested [re, im] entries, and a
+3-D one is the list of the matrix objects of its matrices.  Any other
+ndarray is rejected with a ``TypeError``, as json rejects it.  ``_native``
+expands the arrays of a document into those JSON-native objects (a
+contiguous copy first, so any layout gives the same lists), and the public
+``encode_*`` functions return it.
 
-``dumps`` writes exactly the bytes of ``json.dumps(native, sort_keys=True,
-indent=2) + "\n"``, where ``native`` is the document with its arrays turned
-into lists: the same key order, escapes, float and int spellings and
-layout, and a ``TypeError`` for whatever json rejects.  Any ndarray other
-than a 2-D complex128 one is rejected too.  It does not call ``json.dumps``
-because with ``indent`` json always runs its pure-Python encoder, one
-generator step per float, and a certificate holds hundreds of thousands of
-floats.  Instead its cost follows the distinct rows and values:
+The whole writer contract is one line: ``dumps(doc) ==
+json.dumps(_native(doc), sort_keys=True, indent=2) + "\n"``, the same key
+order, escapes, float and int spellings and layout, and a ``TypeError``
+for whatever json rejects.  ``dumps`` does not call ``json.dumps`` because
+with ``indent`` json always runs its pure-Python encoder, one generator
+step per float, and a certificate holds hundreds of thousands of floats.
+Instead its cost follows the distinct rows and values:
 
-- A list of matrix objects of one shape (exactly the keys "rows", "cols"
-  and "entries", int sizes, 2-D complex128 entries), such as a map's basis
-  images or a rep's pi images, is written as one (count, rows, cols) stack:
-  the text around each object's entries is built once, and the rows of all
-  the objects are de-duplicated together.  A lone matrix array is a stack
-  of one.  The pi images of a canonical dilation, 0/1 matrices of mostly
-  zero rows, share most of their rows across the list.
+- An array is written as one (count, rows, cols) stack, a 2-D array being
+  a stack of one: the text around each matrix object's entries is built
+  once, and the rows of all its matrices are de-duplicated together.  The
+  pi images of a canonical dilation, 0/1 matrices of mostly zero rows,
+  share most of their rows across the stack.
 - Rows are keyed by their exact bytes, so -0.0 and 0.0 stay apart.  The
   float bits of the rows not yet written are de-duplicated again, and each
   distinct value is spelled once, with ``float.__repr__`` or json's
@@ -70,27 +74,33 @@ SCHEMA = "dilatory/v1"
 BASIS_ORDER = "block-major,row-major"
 
 
-def matrix_doc(m) -> dict:
-    """The matrix object of m, its entries left as a complex128 array."""
-    a = np.ascontiguousarray(m, dtype=np.complex128)
-    rows, cols = a.shape
-    return {"rows": rows, "cols": cols, "entries": a}
+def _is_matrices(o) -> bool:
+    """Whether o is an array dumps writes: 2-D or 3-D complex128."""
+    return type(o) is np.ndarray and o.dtype == np.complex128 and o.ndim in (2, 3)
 
 
 def _native(o):
-    """o with every entries array turned into its nested [re, im] lists."""
-    if isinstance(o, np.ndarray):
-        rows, cols = o.shape
-        return o.view(np.float64).reshape(rows, cols, 2).tolist()
+    """o with each 2-D complex128 array turned into its matrix object and
+    each 3-D one into the list of them, entries as nested [re, im] lists."""
+    if _is_matrices(o):
+        a = np.ascontiguousarray(o)
+        rows, cols = a.shape[-2:]
+        entries = a.view(np.float64).reshape(*a.shape, 2).tolist()
+        if a.ndim == 2:
+            return {"rows": rows, "cols": cols, "entries": entries}
+        return [{"rows": rows, "cols": cols, "entries": e} for e in entries]
     if isinstance(o, dict):
         return {key: _native(value) for key, value in o.items()}
-    if isinstance(o, list):
+    if isinstance(o, (list, tuple)):
         return [_native(item) for item in o]
     return o
 
 
 def encode_matrix(m) -> dict:
-    return _native(matrix_doc(m))
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    return _native(a)
 
 
 def _size(value) -> int:
@@ -177,7 +187,7 @@ def ocp_map_doc(phi: OcpMap) -> dict:
         "basis_order": BASIS_ORDER,
         "domain": encode_algebra(phi.domain),
         "k": phi.k,
-        "basis_images": [matrix_doc(m) for m in phi.basis_images],
+        "basis_images": phi.basis_images,
     }
 
 
@@ -206,8 +216,8 @@ def anchored_rep_doc(rep: AnchoredRep) -> dict:
         "domain": encode_algebra(rep.algebra),
         "k": rep.k,
         "h": rep.h,
-        "pi_images": [matrix_doc(m) for m in rep.pi_images],
-        "V": matrix_doc(rep.V),
+        "pi_images": rep.pi_images,
+        "V": rep.V,
     }
 
 
@@ -237,7 +247,7 @@ def certificate_doc(cert: DilationCertificate) -> dict:
         "basis_order": BASIS_ORDER,
         "dimension": cert.dimension,
         "rep": anchored_rep_doc(cert.rep),
-        "Q": matrix_doc(cert.Q),
+        "Q": cert.Q,
         "gram_eigenvalues": [float(x) for x in cert.gram_eigenvalues],
         "residuals": {k: float(v) for k, v in sorted(cert.residuals.items())},
         "rank_unstable": bool(cert.rank_unstable),
@@ -261,9 +271,9 @@ def _expect_kind(obj, kind: str):
 def dumps(obj: dict) -> str:
     """Canonical bytes: sorted keys, two-space indent, trailing newline.
 
-    obj may hold 2-D complex128 arrays, written as json writes their
-    ``[re, im]`` entry lists.  The text of each distinct matrix row is kept
-    for this call only (see the module docstring).
+    obj may hold 2-D and 3-D complex128 arrays, written as json writes
+    their matrix objects.  The text of each distinct matrix row is kept for
+    this call only (see the module docstring).
     """
     out: list[str] = []
     _write(obj, 0, out, {})
@@ -322,8 +332,6 @@ def _write(o, depth: int, out: list, row_text: dict):
         close = "\n" + "  " * depth + "]"
         if set(map(type, o)) == {float}:
             out.append("[" + inner + ("," + inner).join(map(_float_str, o)) + close)
-        elif _one_matrix_shape(o):
-            _write_matrix_objects(o, depth, out, row_text)
         else:
             out.append("[")
             sep = inner
@@ -344,44 +352,30 @@ def _write(o, depth: int, out: list, row_text: dict):
             _write(value, depth + 1, out, row_text)
             sep = "," + inner
         out.append("\n" + "  " * depth + "}")
-    elif type(o) is np.ndarray and o.ndim == 2 and o.dtype == np.complex128:
-        _write_stack(o[None], depth, out, row_text, "", "", "")
+    elif _is_matrices(o):
+        _write_matrices(o, depth, out, row_text)
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _one_matrix_shape(items) -> bool:
-    """Whether every item is a matrix object {"rows", "cols", "entries"} with
-    int sizes and a 2-D complex128 array of that one shape."""
-    first = items[0]
-    if type(first) is not dict:
-        return False
-    shape = (first.get("rows"), first.get("cols"))
-    for item in items:
-        if type(item) is not dict or len(item) != 3:
-            return False
-        rows, cols, a = item.get("rows"), item.get("cols"), item.get("entries")
-        if not (
-            type(rows) is int
-            and type(cols) is int
-            and type(a) is np.ndarray
-            and a.dtype == np.complex128
-            and a.shape == shape == (rows, cols)
-        ):
-            return False
-    return True
-
-
-def _write_matrix_objects(items, depth: int, out: list, row_text: dict):
-    """Append the JSON of a list of matrix objects of one shape, their
-    entries written as one stack between the text of the other keys."""
-    rows, cols = items[0]["entries"].shape
-    obj, key = ("\n" + "  " * (depth + i) for i in (1, 2))
+def _write_matrices(a: np.ndarray, depth: int, out: list, row_text: dict):
+    """Append the JSON of a 2-D complex128 array, its matrix object, or of
+    a 3-D one, the list of its matrix objects: the text around each
+    object's entries is built once and the entries are one stack."""
+    if a.ndim == 3 and not len(a):
+        out.append("[]")
+        return
+    rows, cols = a.shape[-2:]
+    # a list's matrix objects sit one level below the list
+    level = depth + a.ndim - 2
+    obj, key = ("\n" + "  " * (level + i) for i in (0, 1))
     head = "{" + key + '"cols": ' + int.__repr__(cols) + "," + key + '"entries": '
     tail = "," + key + '"rows": ' + int.__repr__(rows) + obj + "}"
-    stack = np.stack([item["entries"] for item in items])
-    close = "\n" + "  " * depth + "]"
-    _write_stack(stack, depth + 2, out, row_text, "[" + obj + head, tail + "," + obj + head, tail + close)
+    if a.ndim == 2:
+        _write_stack(a[None], level + 1, out, row_text, head, "", tail)
+    else:
+        close = "\n" + "  " * depth + "]"
+        _write_stack(a, level + 1, out, row_text, "[" + obj + head, tail + "," + obj + head, tail + close)
 
 
 def _write_stack(stack: np.ndarray, depth: int, out: list, row_text: dict, before, between, after):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from dilatory.algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
 from dilatory.cli import main
 from dilatory.cpmap import OcpMap, is_completely_positive, is_unital, tracial_map
-from dilatory.dilation import stinespring_dilate
+from dilatory.dilation import AnchoredRep, stinespring_dilate
 from dilatory.errors import MalformedInput
 from dilatory.geometry import purification_residuals, purify_partial, purify_unitary
 from dilatory.numerics import Tolerance, hermitian_eig
@@ -34,7 +35,7 @@ from dilatory.serialize import (
     encode_ocp_map,
     encode_tolerance,
     loads,
-    matrix_doc,
+    _native,
 )
 
 TOL = Tolerance()
@@ -514,9 +515,11 @@ def test_cli_output_is_canonical(tmp_path, monkeypatch, argv, code):
 
 
 def _native_reference(o):
-    # array leaves replaced by the per-entry reference encoding
+    # matrix arrays replaced by the per-entry reference encoding
     if isinstance(o, np.ndarray):
-        return encode_matrix_per_entry(o)["entries"]
+        if o.ndim == 2:
+            return encode_matrix_per_entry(o)
+        return [encode_matrix_per_entry(m) for m in o]
     if isinstance(o, dict):
         return {key: _native_reference(value) for key, value in o.items()}
     if isinstance(o, list):
@@ -524,39 +527,51 @@ def _native_reference(o):
     return o
 
 
-@st.composite
-def _complex_arrays(draw):
-    """2-D complex128 arrays with repeated rows, signed zeros, extremes and odd layouts."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 4))
-    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e16, -2.5]), _floats)
-    cell = st.builds(complex, values, values)
-    patterns = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
-    picks = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=rows, max_size=rows))
-    a = np.array([patterns[p] for p in picks], dtype=np.complex128).reshape(rows, cols)
-    if rows and draw(st.booleans()):
-        # a row that differs from row 0 only where row 0 has a signed zero
-        a = np.vstack([a, np.where(a[0] == 0, -a[0], a[0])])
-    layout = draw(st.sampled_from(["c", "f", "transposed", "strided", "reversed"]))
+_LAYOUTS = ["c", "f", "transposed", "strided", "reversed"]
+
+
+def _relaid(a, layout):
+    """a's values in another memory layout."""
     if layout == "f":
         return np.asfortranarray(a)
     if layout == "transposed":
         return np.ascontiguousarray(a.T).T
     if layout == "strided":
-        big = np.zeros((2 * a.shape[0], 2 * a.shape[1] + 1), dtype=np.complex128)
-        big[::2, 1::2] = a
-        return big[::2, 1::2]
+        big = np.zeros(tuple(2 * n + 1 for n in a.shape), dtype=a.dtype)
+        view = big[(slice(1, None, 2),) * a.ndim]
+        view[...] = a
+        return view
     if layout == "reversed":
-        return np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]
+        flip = (slice(None, None, -1),) * a.ndim
+        return np.ascontiguousarray(a[flip])[flip]
     return a
 
 
+@st.composite
+def _complex_arrays(draw, ndim=2):
+    """2-D complex128 arrays, or 3-D stacks of 0-3 of them, whose rows repeat
+    within and across matrices, with signed zeros, extremes and odd layouts."""
+    count = draw(st.integers(0, 3)) if ndim == 3 else 1
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e16, -2.5]), _floats)
+    cell = st.builds(complex, values, values)
+    pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    # a row that differs from the first only where that one has a signed zero
+    pool.append([complex(-c.real if c.real == 0 else c.real, -c.imag if c.imag == 0 else c.imag) for c in pool[0]])
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=count * rows, max_size=count * rows))
+    a = np.array([pool[p] for p in picks], dtype=np.complex128).reshape(count, rows, cols)
+    return _relaid(a if ndim == 3 else a[0], draw(st.sampled_from(_LAYOUTS)))
+
+
 @settings(deadline=None, max_examples=300)
-@given(a=_complex_arrays(), b=_complex_arrays(), depth=st.integers(0, 3))
-def test_dumps_of_array_documents_matches_json_reference(a, b, depth):
-    obj = {"m": matrix_doc(a), "raw": [b, a, {"again": b}]}
+@given(a=_complex_arrays(), b=_complex_arrays(), stack=_complex_arrays(ndim=3), depth=st.integers(0, 3))
+def test_dumps_of_array_documents_matches_json_reference(a, b, stack, depth):
+    obj = {"m": a, "raw": [b, a, {"again": b}], "images": stack}
     for _ in range(depth):
-        obj = {"m": [obj, {"x": b}]}
-    assert dumps(obj) == reference_dumps(_native_reference(obj))
+        obj = {"m": [obj, {"x": b, "s": stack}]}
+    # repr compares values, -0.0, NaN and the exact float type at once
+    assert repr(_native(obj)) == repr(_native_reference(obj))
+    assert dumps(obj) == reference_dumps(_native(obj))
 
 
 class _ArraySubclass(np.ndarray):
@@ -568,69 +583,53 @@ class _ArraySubclass(np.ndarray):
     [
         np.zeros((2, 2)),
         np.zeros(3, dtype=complex),
-        np.zeros((2, 2, 2), dtype=complex),
+        np.zeros((2, 2, 2, 2), dtype=complex),
         np.zeros((2, 2), dtype=object),
         np.zeros((2, 2), dtype=np.complex64),
         np.zeros((2, 2), dtype=">c16"),
         np.zeros((2, 2), dtype=complex).view(_ArraySubclass),
     ],
-    ids=["float64", "1-D", "3-D", "object", "complex64", "big-endian", "subclass"],
+    ids=["float64", "1-D", "4-D", "object", "complex64", "big-endian", "subclass"],
 )
 def test_dumps_rejects_other_arrays(bad):
+    with pytest.raises(TypeError):
+        reference_dumps(_native({"entries": bad}))
     with pytest.raises(TypeError):
         dumps({"entries": bad})
 
 
-_stack_values = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e16, 5e-324, math.nan, math.inf, -math.inf])
-
-
-@st.composite
-def _matrix_object_lists(draw):
-    """Lists of matrix objects of one shape whose rows repeat within and
-    across matrices, sometimes salted off the one-stack path."""
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 3))
-    cell = st.builds(complex, _stack_values, _stack_values)
-    pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
-    # a row that differs from the first only where that one has a signed zero
-    pool.append([complex(-c.real if c.real == 0 else c.real, -c.imag if c.imag == 0 else c.imag) for c in pool[0]])
-    pick = st.integers(0, len(pool) - 1)
-    items = []
-    for _ in range(draw(st.integers(1, 4))):
-        picks = draw(st.lists(pick, min_size=rows, max_size=rows))
-        items.append(matrix_doc(np.array([pool[p] for p in picks], dtype=np.complex128).reshape(rows, cols)))
-    i = draw(st.integers(0, len(items) - 1))
-    salt = draw(
-        st.sampled_from(
-            ["none", "fortran", "other-shape", "extra-key", "size-type", "wrong-rows", "other-value"]
-        )
-    )
-    if salt == "fortran":
-        items[i]["entries"] = np.asfortranarray(items[i]["entries"])
-    elif salt == "other-shape":
-        items.insert(i, matrix_doc(np.full((rows + 1, cols), 1.5 - 0.0j)))
-    elif salt == "extra-key":
-        items[i]["note"] = "x"
-    elif salt == "size-type":
-        key = draw(st.sampled_from(["rows", "cols"]))
-        items[i][key] = draw(st.sampled_from([float, bool]))(items[i][key])
-    elif salt == "wrong-rows":
-        items[i]["rows"] = rows + 1
-    elif salt == "other-value":
-        items.insert(i, draw(st.one_of(st.none(), _floats, _text, st.just([]), st.just({}))))
-    return items
-
-
 @settings(deadline=None, max_examples=300)
-@given(items=_matrix_object_lists(), depth=st.integers(0, 2))
-# a bool size equal to the array's, which json spells true or false
-@example(items=[{"rows": True, "cols": 2, "entries": np.zeros((1, 2), dtype=complex)}], depth=0)
-@example(items=[matrix_doc(np.ones((2, 1))), {"rows": 2, "cols": True, "entries": np.ones((2, 1), dtype=complex)}], depth=1)
-@example(items=[{"rows": False, "cols": 3, "entries": np.zeros((0, 3), dtype=complex)}] * 2, depth=0)
-def test_dumps_of_matrix_object_lists_matches_json_reference(items, depth):
-    obj = {"pi_images": items, "V": items[-1]}
+@given(stack=_complex_arrays(ndim=3), other=_complex_arrays(ndim=3), depth=st.integers(0, 3))
+@example(stack=np.zeros((0, 2, 2), dtype=complex), other=np.zeros((2, 0, 3), dtype=complex), depth=0)
+@example(stack=np.zeros((3, 2, 0), dtype=complex), other=np.ones((1, 1, 1), dtype=complex), depth=1)
+def test_dumps_of_matrix_object_lists_matches_json_reference(stack, other, depth):
+    # a 3-D array is written as the list of the matrix objects of its
+    # matrices, all their rows de-duplicated together
+    obj = {"pi_images": stack, "V": other[-1] if len(other) else stack, "more": [other, None, stack]}
     for _ in range(depth):
-        obj = {"m": [obj, {"x": items}]}
-    assert dumps(obj) == reference_dumps(_native_reference(obj))
+        obj = {"m": [obj, {"x": other}]}
+    assert repr(_native(obj)) == repr(_native_reference(obj))
+    assert dumps(obj) == reference_dumps(_native(obj))
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS[1:])
+def test_encoders_read_any_layout_as_the_contiguous_one(layout):
+    rng = rng_for(99, 0)
+    phi, cert, rep, _ = random_dilation_pair(rng, (1, 2), 3, TOL, extra1=[1, 1])
+
+    def relaid_rep(r):
+        images, v = _relaid(r.pi_images, layout), _relaid(r.V, layout)
+        assert not (images.flags.c_contiguous or v.flags.c_contiguous)
+        return AnchoredRep(r.algebra, r.k, r.h, images, v)
+
+    pairs = [
+        (encode_ocp_map, OcpMap(phi.domain, phi.k, _relaid(phi.basis_images, layout)), phi),
+        (encode_anchored_rep, relaid_rep(rep), rep),
+        (encode_certificate, replace(cert, rep=relaid_rep(cert.rep)), cert),
+        (encode_matrix, _relaid(rep.V, layout), rep.V),
+    ]
+    for encode, relaid, contiguous in pairs:
+        assert repr(encode(relaid)) == repr(encode(contiguous))
 
 
 @settings(deadline=None, max_examples=100)

@@ -287,12 +287,14 @@ def test_default_suite_builds_each_construction_once(monkeypatch):
 
 def test_default_suite_transports_each_draw_once(monkeypatch):
     """The naturality checks, the adjunction suite and draw 0's controls
-    share one L_T per draw."""
-    counts = _count_calls(monkeypatch, ("stine_on_morphism",))
+    share one L_T per draw, built without stine_on_morphism's second gate
+    of T: per draw, one transport for the universal factorization and one
+    for L_T."""
+    counts = _count_calls(monkeypatch, ("stine_on_morphism", "_transport"))
     assert run_default_suite(seed=7, draws=1, tol=TOL).ok
-    assert counts["stine_on_morphism"] == 1
+    assert counts == {"stine_on_morphism": 0, "_transport": 2}
     assert run_default_suite(seed=8, draws=3, tol=TOL).ok
-    assert counts["stine_on_morphism"] == 1 + 3
+    assert counts == {"stine_on_morphism": 0, "_transport": 2 + 2 * 3}
 
 
 def per_draw_partial_isometry_samples(seed, draws):
@@ -497,9 +499,9 @@ def test_default_suite_runs_no_gate_twice(monkeypatch, seed, draws):
     # per draw: the zig-zag counit, the adjunction's factorization and the
     # adjoints of the two naturality entries
     assert len(calls["is_rep_morphism"]) == 4 * draws
-    # per draw: universal_factorization, L_T and the dagger law; plus the
-    # two counterexamples, once per tolerance
-    assert len(calls["is_ocp_morphism"]) == 3 * draws + 2
+    # per draw: universal_factorization, whose gate L_T shares, and the
+    # dagger law; plus the two counterexamples, once per tolerance
+    assert len(calls["is_ocp_morphism"]) == 2 * draws + 2
     laws.counterexample_suite.cache_clear()
 
 

@@ -29,6 +29,20 @@ def test_demo_script_runs(argv):
     assert proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--tol", "0"], ["--tol", "1.5"], ["--tol", "nan"], ["--seed", "-1"], ["--draws", "-2"]],
+    ids=["tol-0", "tol-1.5", "tol-nan", "seed-neg", "draws-neg"],
+)
+def test_run_laws_refuses_what_dilatory_laws_refuses(argv):
+    # the script runs `dilatory laws` itself, so it exits 3 where the CLI does
+    proc = run_with_src(["scripts/run_laws.py", *argv], text=True)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not proc.stdout
+
+
 def test_cli_module_pipes_and_exits(tmp_path):
     # through the __main__ guard: random | dilate -, and the exit code of a
     # truncated input reaching the shell through sys.exit
