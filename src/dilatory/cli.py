@@ -7,7 +7,8 @@ default tolerance when --tol is not given explicitly; a tolerance that is not
 a positive number below 1, like a --dims below 1, a negative laws --draws or
 a negative --seed (laws and random alike), is malformed input, and so is a
 usage error (an unknown command or option, a missing argument, a value of
-the wrong type).
+the wrong type).  Input files and stdin are read as UTF-8 bytes, whatever
+the locale, and bytes that are not UTF-8 are malformed input too.
 
 main runs each command with the cyclic garbage collector paused, since a
 command makes no reference cycles and the collector would otherwise
@@ -79,13 +80,22 @@ def _tolerance_from(args) -> Tolerance:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return loads(sys.stdin.read())
+    """The JSON document in the file at path, or on stdin for "-"; its bytes
+    must be UTF-8, whatever the locale."""
+    name = "stdin" if path == "-" else path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads(fh.read())
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
+        raise MalformedInput(f"cannot read {name}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{name} is not UTF-8: {exc}") from exc
+    return loads(text)
 
 
 def _write(text: str, out: str | None):

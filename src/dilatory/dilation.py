@@ -378,8 +378,7 @@ def is_minimal(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
     The rank cut is relative to the largest singular value of the spanning
     columns, so the answer does not change when V is rescaled.
     """
-    # rank(cols) = rank(cols*); the tall orientation keeps the discarded V at h x h
-    sing, _ = numerics.right_singular(dagger(_span_columns(rep)))
+    sing = numerics.singular_values(_span_columns(rep))
     return int(np.count_nonzero(sing > tol.cut(float(sing[0])))) == rep.h
 
 

@@ -9,27 +9,29 @@ and downstream constructions are reproducible.
 
 The phase rule runs on all columns at once and reproduces, bit for bit, the
 per-column scalar rule ``conj(z) / abs(z)`` it replaced, z the first entry
-of largest ``np.abs``.  Two details make that hold.  The modulus is
+of largest ``np.abs``: it is one array division ``conj(z) / modulus`` over
+the live columns.  Two details make that hold.  The modulus is
 ``np.hypot(re, im)``: numpy's scalar ``abs`` of a complex number equals it,
 while the array ``np.abs`` differs from it in the last bit on about a third
-of all entries.  And numpy divides a complex scalar by a real one in Smith's
-form, as a complex divisor a + 0i: with r = 1 / a, the real part is
-``(re + im * 0) * r`` and the imaginary part ``(im - re * 0) * r`` (re, im
-those of conj(z)), which is also what keeps signed zeros the same.
+of all entries.  And numpy divides a complex array by a real one as it
+divides a complex scalar by a real one, in Smith's form with the complex
+divisor a + 0i: with r = 1 / a, the real part is ``(re + im * 0) * r`` and
+the imaginary part ``(im - re * 0) * r`` (re, im those of conj(z)), which
+is also what keeps signed zeros the same.
 
 There are three SVD kernels.  ``svd`` returns the full left basis U and
 serves only the callers that read U's orthogonal complement
 (``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
-callers that need only a rank or a null space; on a tall input U would be
-square in the row count.  It keeps a real input real: ``algebra.commutant``
-hands it the real triangular factor of its system over Hermitian unknowns,
-while ``dilation.is_minimal`` (the adjoint of its spanning columns) and
-``geometry.partial_isometry_report`` (the caller's matrix, coerced by
-``as_matrix``) hand it complex arrays.  All three build or coerce what they
-pass, so it checks nothing.  ``singular_values`` returns only
-the values, for a whole stack of matrices in one call
-(``geometry.classify_partial_isometries``).
+callers that need a null space or an initial space; on a tall input U would
+be square in the row count.  It keeps a real input real:
+``algebra.commutant`` hands it the real triangular factor of its system over
+Hermitian unknowns, while ``geometry.partial_isometry_report`` hands it the
+caller's matrix, coerced by ``as_matrix``.  Both build or coerce what they
+pass, so it checks nothing.  ``singular_values`` returns only the values,
+for one matrix or a whole stack in one call, and serves the callers that
+need only a rank or a spectrum (``dilation.is_minimal`` on its spanning
+columns, ``geometry.classify_partial_isometries``).
 """
 
 from __future__ import annotations
@@ -188,12 +190,9 @@ def _fix_phases(u: np.ndarray) -> np.ndarray:
     if u.size == 0:
         return phases
     z = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    re, im = z.real, -z.imag
-    modulus = np.hypot(re, im)
+    modulus = np.hypot(z.real, z.imag)
     live = modulus > 0.0
-    r = 1.0 / np.where(live, modulus, 1.0)
-    phases.real[live] = ((re + im * 0.0) * r)[live]
-    phases.imag[live] = ((im - re * 0.0) * r)[live]
+    phases[live] = np.conj(z[live]) / modulus[live]
     return phases
 
 

@@ -45,13 +45,17 @@ Instead its cost follows the distinct rows and values:
   pi images of a canonical dilation, 0/1 matrices of mostly zero rows,
   share most of their rows across the stack.
 - Rows are keyed by their exact bytes, so -0.0 and 0.0 stay apart.  The
-  float bits of the rows not yet written are de-duplicated again, and each
+  distinct values of the rows not yet written come from one sort of their
+  float bits as uint64: neighbours that differ start a new value, and
+  ``np.searchsorted`` finds each value's place among them, the table and
+  inverse ``np.unique`` would give without its per-call overhead.  Each
   distinct value is spelled once, with ``float.__repr__`` or json's
   ``NaN``/``Infinity`` spellings.  A row's text is its spellings slotted
   into the literal text json puts around them, joined once.
 - Row texts carry their leading separator and go into the output list as
   they are; one join at the end builds the document.  A list of plain
-  floats is written with one join.
+  floats is spelled in one pass, by ``float.__repr__`` when all of them are
+  finite, and written with one join.
 - The row texts are kept for one ``dumps`` call and then dropped, so
   nothing keyed by data outlives the call.
 """
@@ -331,7 +335,8 @@ def _write(o, depth: int, out: list, row_text: dict):
         inner = "\n" + "  " * (depth + 1)
         close = "\n" + "  " * depth + "]"
         if set(map(type, o)) == {float}:
-            out.append("[" + inner + ("," + inner).join(map(_float_str, o)) + close)
+            spell = float.__repr__ if all(map(isfinite, o)) else _float_str
+            out.append("[" + inner + ("," + inner).join(map(spell, o)) + close)
         else:
             out.append("[")
             sep = inner
@@ -410,7 +415,12 @@ def _row_texts(keys: list, cols: int, depth: int) -> list:
     this depth, led by its "," separator: each distinct value is spelled
     once, and each row is its spellings slotted into the literal text
     json puts around them."""
-    bits, inverse = np.unique(np.frombuffer(b"".join(keys), dtype=np.uint64), return_inverse=True)
+    flat = np.frombuffer(b"".join(keys), dtype=np.uint64)
+    # np.unique(flat, return_inverse=True) from one sort: the distinct bits
+    # in order, and each value's index among them
+    bits = np.sort(flat)
+    bits = bits[np.concatenate(([True], bits[1:] != bits[:-1]))]
+    inverse = np.searchsorted(bits, flat)
     values = bits.view(np.float64)
     # _float_str spells a finite float as float.__repr__ does
     spell = float.__repr__ if np.isfinite(values).all() else _float_str

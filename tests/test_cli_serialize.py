@@ -1,6 +1,9 @@
 import gc
+import io
 import json
 import math
+import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +26,7 @@ from dilatory.randgen import (
 from dilatory.serialize import (
     BASIS_ORDER,
     SCHEMA,
+    anchored_rep_doc,
     decode_algebra,
     decode_anchored_rep,
     decode_matrix,
@@ -359,6 +363,47 @@ def test_cli_impossible_numbers_exit_3(tmp_path, capsys, monkeypatch, argv, env)
     assert not out.exists()
 
 
+_NOT_UTF8 = b'{"a": "\xff"}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dilate", "{bad}"],
+        ["dilate", "-"],
+        ["purify", "{bad}", "{rep}"],
+        ["purify", "{rep}", "{bad}"],
+        ["purify", "-", "{rep}"],
+    ],
+)
+def test_cli_non_utf8_input_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # bytes that are not UTF-8, in a file or on stdin, are malformed input:
+    # one error line and exit 3, never a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_NOT_UTF8)
+    rep = tmp_path / "rep.json"
+    rep.write_text(dumps(anchored_rep_doc(stinespring_dilate(tracial_map(2, 1), TOL).rep)))
+    # a Latin-1 stream would decode the bytes; they are read as UTF-8 regardless
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(_NOT_UTF8), encoding="latin-1"))
+    assert _exit_code([a.format(bad=bad, rep=rep) for a in argv]) == 3
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "not UTF-8" in err[0]
+    assert captured.out == ""
+
+
+def test_cli_reads_stdin_as_utf8_bytes(tmp_path, capsys, monkeypatch):
+    # stdin gives the bytes a file gives, whatever the stream's own encoding
+    fixture = tmp_path / "tau.json"
+    fixture.write_text(dumps(encode_ocp_map(tracial_map(2, 1))))
+    assert main(["dilate", str(fixture)]) == 0
+    from_file = capsys.readouterr().out
+    stream = io.TextIOWrapper(io.BytesIO(fixture.read_bytes()), encoding="latin-1")
+    monkeypatch.setattr(sys, "stdin", stream)
+    assert main(["dilate", "-"]) == 0
+    assert capsys.readouterr().out == from_file != ""
+
+
 def reference_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -367,7 +412,16 @@ _finite = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1.0, -2.5]),
 )
-_floats = st.one_of(_finite, st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# NaNs with other payloads and sign bits, which json spells "NaN" alike
+_nans = [math.nan, -math.nan] + [_from_bits(b) for b in (0x7FF0000000000001, 0x7FF8000000000123, 0xFFF00000DEAD0000)]
+_non_finite = st.sampled_from(_nans + [math.inf, -math.inf])
+_floats = st.one_of(_finite, _non_finite)
 _text = st.one_of(
     st.text(max_size=8),
     st.sampled_from(["", "é", "\u00ff\u2028", "\U0001f600", '"quoted"', "back\\slash", "tab\tnew\nline\x00"]),
@@ -547,19 +601,31 @@ def _relaid(a, layout):
     return a
 
 
+_stack_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e16, 5e-324, -5e-324, 2.0**-1030, math.inf, -math.inf] + _nans),
+    _floats,
+)
+
+
 @st.composite
 def _complex_arrays(draw, ndim=2):
     """2-D complex128 arrays, or 3-D stacks of 0-3 of them, whose rows repeat
-    within and across matrices, with signed zeros, extremes and odd layouts."""
+    within and across matrices, with signed zeros, extremes and odd layouts.
+
+    Most stacks draw their values from a pool of a few, so equal values
+    (equal bits) recur across rows and matrices."""
     count = draw(st.integers(0, 3)) if ndim == 3 else 1
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 4))
-    values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e16, -2.5]), _floats)
-    cell = st.builds(complex, values, values)
+    few = st.lists(_stack_values, min_size=1, max_size=5).map(st.sampled_from)
+    values = draw(st.one_of(st.just(_stack_values), few))
+    # [re, im] pairs of Python floats, which keep a NaN's payload and sign
+    cell = st.lists(values, min_size=2, max_size=2)
     pool = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=1, max_size=3))
     # a row that differs from the first only where that one has a signed zero
-    pool.append([complex(-c.real if c.real == 0 else c.real, -c.imag if c.imag == 0 else c.imag) for c in pool[0]])
+    pool.append([[-x if x == 0 else x for x in c] for c in pool[0]])
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=count * rows, max_size=count * rows))
-    a = np.array([pool[p] for p in picks], dtype=np.complex128).reshape(count, rows, cols)
+    pairs = np.array([pool[p] for p in picks], dtype=np.float64).reshape(count, rows, cols, 2)
+    a = pairs.view(np.complex128)[..., 0]
     return _relaid(a if ndim == 3 else a[0], draw(st.sampled_from(_LAYOUTS)))
 
 
@@ -632,8 +698,21 @@ def test_encoders_read_any_layout_as_the_contiguous_one(layout):
         assert repr(encode(relaid)) == repr(encode(contiguous))
 
 
+@st.composite
+def _float_lists(draw):
+    """Lists of floats and np.float64s, or of plain floats only, all finite
+    or with one NaN or infinity at any position."""
+    kind = draw(st.sampled_from(["mixed", "finite", "one non-finite"]))
+    if kind == "mixed":
+        return draw(st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=1, max_size=8))
+    values = draw(st.lists(_finite, min_size=1 if kind == "finite" else 0, max_size=8))
+    if kind == "one non-finite":
+        values.insert(draw(st.integers(0, len(values))), draw(_non_finite))
+    return values
+
+
 @settings(deadline=None, max_examples=100)
-@given(values=st.lists(st.one_of(_floats, _floats.map(np.float64)), min_size=1, max_size=8), depth=st.integers(0, 2))
+@given(values=_float_lists(), depth=st.integers(0, 2))
 def test_dumps_of_float_lists_matches_json_reference(values, depth):
     obj = {"gram_eigenvalues": values}
     for _ in range(depth):
