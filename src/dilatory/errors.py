@@ -56,10 +56,6 @@ class NotExtension(DilatoryError):
     """Second operand does not extend the first on its initial space."""
 
 
-class NotTensorForm(DilatoryError):
-    """Operator is not of the form identity-tensor-factor at tolerance."""
-
-
 class NotRepresentation(DilatoryError):
     """Images do not define a unital *-representation at tolerance."""
 

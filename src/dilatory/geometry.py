@@ -11,8 +11,12 @@ multiplicity space of block j is range pi(E^j_00), and the units pi(E^j_a0)
 carry an orthonormal basis of it across the block (Davidson, C*-Algebras by
 Example, ch. III).  That normal form is also the representation gate: its
 residual and the unit residual bound every *-hom residual, so no *-hom check
-runs first.  Purification then reduces to extending, block by block, the tensor
-factor of the connecting morphism between two dilations of the same map.
+runs first.  Purification reads U off the two normal forms.  By Schur's lemma
+every intertwiner is S* (+)_j (1_{n_j} (x) M_j) R, and U V = W says M_j K_j =
+L_j, where K_j (c_j x n_j k) and L_j (d_j x n_j k) are the anchors' coordinates
+R V and S W on block j.  Both factor the same Choi block, K_j* K_j = L_j* L_j,
+so one SVD of L_j K_j* gives M_j: the unitary freedom of purifications
+(Hughston, Jozsa and Wootters, Phys. Lett. A 183, 1993).
 """
 
 from __future__ import annotations
@@ -37,11 +41,10 @@ from .errors import (
     NotExtension,
     NotPartialIsometry,
     NotRepresentation,
-    NotTensorForm,
     RestrictionMismatch,
     ShapeMismatch,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, kron, max_abs
+from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, max_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,46 +143,18 @@ def extend_partial_isometry(l, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Maximal extension agreeing with L on its initial space.
 
     Unitary when L is square, an isometry when rows exceed columns, a
-    co-isometry otherwise; built by matching the orthonormal complements of
-    the initial and final spaces in the (phase-fixed) SVD order, so the
-    choice is deterministic.
+    co-isometry otherwise; built by pairing the first min(rows, cols)
+    singular vectors in the (phase-fixed) SVD order: the singular pairs of L
+    first, then the orthonormal complements of the initial and final spaces,
+    so the choice is deterministic.
     """
     mat = as_matrix(l)
     u, sing, v = numerics.svd(mat)
     residual, _, algebraic, _ = _dual_tests(mat[None], sing[None], tol)
     if not algebraic[0]:
         raise NotPartialIsometry(f"residual {residual[0]:.3e}")
-    rank = int(np.count_nonzero(sing > tol.cut(1.0)))
-    rows, cols = mat.shape
-    u1, v1 = u[:, :rank], v[:, :rank]
-    u2, v2 = u[:, rank:], v[:, rank:]
-    extra = min(rows - rank, cols - rank)
-    out = u1 @ dagger(v1)
-    if extra > 0:
-        out = out + u2[:, :extra] @ dagger(v2[:, :extra])
-    return out
-
-
-def tensor_factor_extract(o, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Recover P from an operator of the form 1_n (x) P.
-
-    P is the partial trace over the first factor divided by n; if the
-    reconstruction misses O at scale 10 the input did not have tensor form
-    (e.g. it was not an intertwiner) and NotTensorForm is raised.
-    """
-    mat = as_matrix(o)
-    n = int(n)
-    if n < 1 or mat.shape[0] % n or mat.shape[1] % n:
-        raise ShapeMismatch(f"shape {mat.shape} is not n p x n q for n = {n}")
-    p, q = mat.shape[0] // n, mat.shape[1] // n
-    diagonal_blocks = mat.reshape(n, p, n, q)[range(n), :, range(n)]
-    out = numerics.linear_extension(np.ones(n), diagonal_blocks) / n
-    rebuilt = kron(numerics.eye(n), out)
-    residual = max_abs(mat - rebuilt)
-    # |O| <= 1 (a block of isometries); the 10 allows for the normal forms' rounding
-    if not tol.within(residual, 10.0):
-        raise NotTensorForm(f"reconstruction residual {residual:.3e}")
-    return out
+    m = min(mat.shape)
+    return u[:, :m] @ dagger(v[:, :m])
 
 
 def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance = DEFAULT_TOL):
@@ -230,6 +205,23 @@ def normal_form_general_rep(pi_images, algebra: FdCStarAlgebra, tol: Tolerance =
     return tuple(mults), r
 
 
+def _restriction_gate(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance):
+    """Refuse two anchored representations unless they anchor the same
+    spaces and restrict to the same map, at the scale of the larger
+    restriction, and that map is not zero, which has no dilation.  Returns
+    rep1's restriction."""
+    if rep1.algebra.blocks != rep2.algebra.blocks or rep1.k != rep2.k:
+        raise ShapeMismatch("representations anchor different spaces")
+    phi1, phi2 = restrict(rep1), restrict(rep2)
+    mismatch = max_abs(phi1.basis_images - phi2.basis_images)
+    scale = max(max_abs(phi1.basis_images), max_abs(phi2.basis_images))
+    if not tol.within(mismatch, scale):
+        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e} at scale {scale:.3e}")
+    if scale == 0.0:
+        raise DegenerateDimension("both restrictions vanish; the zero map has no dilation")
+    return phi1
+
+
 def connecting_morphism(
     rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance = DEFAULT_TOL
 ) -> RepMorphism:
@@ -241,47 +233,42 @@ def connecting_morphism(
     rep1 and it maps it unitarily onto the reachable subspace of rep2.  The
     two restrictions must agree at the scale of the larger one.
     """
-    if rep1.algebra.blocks != rep2.algebra.blocks or rep1.k != rep2.k:
-        raise ShapeMismatch("representations anchor different spaces")
-    phi1, phi2 = restrict(rep1), restrict(rep2)
-    mismatch = max_abs(phi1.basis_images - phi2.basis_images)
-    scale = max(max_abs(phi1.basis_images), max_abs(phi2.basis_images))
-    if not tol.within(mismatch, scale):
-        raise RestrictionMismatch(f"restrictions differ by {mismatch:.3e} at scale {scale:.3e}")
-    cert = stinespring_dilate(phi1, tol, check_cp=False)
+    cert = stinespring_dilate(_restriction_gate(rep1, rep2, tol), tol, check_cp=False)
     m1 = mediating_morphism(rep1, cert=cert)
     m2 = mediating_morphism(rep2, cert=cert)
     return RepMorphism(numerics.eye(rep1.k), m2.L @ dagger(m1.L))
 
 
-def _purify_pipeline(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance):
-    """Normal forms and the per-block tensor factors of the connecting
-    morphism."""
-    c1, r = normal_form_general_rep(rep1.pi_images, rep1.algebra, tol)
-    c2, s = normal_form_general_rep(rep2.pi_images, rep2.algebra, tol)
-    o = s @ connecting_morphism(rep1, rep2, tol).L @ dagger(r)
-    factors = []
-    row = col = 0
-    for n, cj, dj in zip(rep1.algebra.blocks, c1, c2):
-        rows_j, cols_j = n * dj, n * cj
-        block = o[row : row + rows_j, col : col + cols_j]
-        if cj == 0 or dj == 0:
-            factors.append(numerics.zeros(dj, cj))
+def _normal_form_intertwiner(blocks, mults1, mults2, r, s, v, w) -> np.ndarray:
+    """U = S* (+)_j (1_{n_j} (x) M_j) R with M_j K_j = L_j, for R and S the
+    normal forms of two dilations of one map, anchored at V and W.
+
+    Row (a, alpha) of block j of R V holds K_j[alpha, (a, t)] over t, and S W
+    holds L_j alike.  With A diag(s) B* the SVD of L_j K_j*, M_j = A_m B_m*
+    over the first m = min(c_j, d_j) pairs.  The pairs of nonzero singular
+    values give the partial isometry P_j with L_j = P_j K_j, the connecting
+    morphism's factor; the pairs beyond match the complements in SVD order,
+    so no rank is decided.  M_j is an isometry when c_j <= d_j and a
+    co-isometry when c_j >= d_j.
+    """
+    x, y = r @ v, s @ w
+    h1, k = v.shape
+    rows = []
+    row1 = row2 = 0
+    for n, c, d in zip(blocks, mults1, mults2):
+        r_j = r[row1 : row1 + n * c].reshape(n, c, h1)
+        k_j = x[row1 : row1 + n * c].reshape(n, c, k)
+        l_j = y[row2 : row2 + n * d].reshape(n, d, k)
+        m = min(c, d)
+        if m:
+            a, _, b = numerics.svd(np.tensordot(l_j, k_j.conj(), axes=([0, 2], [0, 2])))
+            m_j = a[:, :m] @ dagger(b[:, :m])
         else:
-            factors.append(tensor_factor_extract(block, n, tol))
-        row += rows_j
-        col += cols_j
-    return c1, c2, r, s, factors
-
-
-def _assemble(rep_blocks, mults1, mults2, r, s, extensions) -> np.ndarray:
-    pieces = []
-    for n, cj, dj, m in zip(rep_blocks, mults1, mults2, extensions):
-        if cj == 0 and dj == 0:
-            continue
-        pieces.append(kron(numerics.eye(n), m))
-    middle = numerics.block_diag(pieces)
-    return dagger(s) @ middle @ r
+            m_j = numerics.zeros(d, c)
+        rows.append((m_j @ r_j).reshape(n * d, h1))
+        row1 += n * c
+        row2 += n * d
+    return dagger(s) @ np.concatenate(rows)
 
 
 def purify_unitary(
@@ -291,9 +278,9 @@ def purify_unitary(
 
     Exists whenever the two dilations of the same map carry unitarily
     equivalent representations (equal multiplicity vectors).  The unitary is
-    not unique; this one extends the connecting morphism blockwise through
-    the deterministic completion, so callers should assert its properties
-    rather than its entries.
+    not unique; this one is read off the two normal forms, one SVD per block,
+    and extends the connecting morphism, so callers should assert its
+    properties rather than its entries.
     """
     return _purify(rep1, rep2, tol, allow_inequivalent=False)[0]
 
@@ -303,11 +290,11 @@ def purify_partial(
 ):
     """Maximal intertwining extension between possibly inequivalent dilations.
 
-    Each tensor factor is extended to an isometry or a co-isometry depending
-    on which multiplicity is larger; when the comparison changes sign across
-    blocks the result is neither, yet still maximal for the intertwining
-    extension order.  Returns (U, label) with label one of "unitary",
-    "isometry", "co-isometry", "mixed".
+    Each block factor M_j is an isometry or a co-isometry depending on which
+    multiplicity is larger; when the comparison changes sign across blocks
+    the result is neither, yet still maximal for the intertwining extension
+    order.  Returns (U, label) with label one of "unitary", "isometry",
+    "co-isometry", "mixed".
     """
     u, label, _ = _purify(rep1, rep2, tol, allow_inequivalent=True)
     return u, label
@@ -316,29 +303,24 @@ def purify_partial(
 def _purify(rep1: AnchoredRep, rep2: AnchoredRep, tol: Tolerance, allow_inequivalent: bool):
     """(U, label, residuals), the residuals being the ones U was verified
     by: the one path behind purify_unitary, purify_partial and the CLI,
-    which writes them.  Without allow_inequivalent, unequal multiplicities
-    or a U that is not unitary raise NotEquivalent, so the label is always
-    "unitary"."""
-    c1, c2, r, s, factors = _purify_pipeline(rep1, rep2, tol)
+    which writes them.  The gates run in order: the two normal forms, the
+    restrictions, then, without allow_inequivalent, equal multiplicities
+    (NotEquivalent), so the label is always "unitary"."""
+    c1, r = normal_form_general_rep(rep1.pi_images, rep1.algebra, tol)
+    c2, s = normal_form_general_rep(rep2.pi_images, rep2.algebra, tol)
+    _restriction_gate(rep1, rep2, tol)
     if not allow_inequivalent and c1 != c2:
         raise NotEquivalent(
             f"multiplicity vectors {c1} and {c2} differ; use purify_partial"
         )
-    extensions = [extend_partial_isometry(p, tol) for p in factors]
-    u = _assemble(rep1.algebra.blocks, c1, c2, r, s, extensions)
-    residuals = _verify_purification(
-        u, rep1, rep2, tol, require_unitary=not allow_inequivalent
-    )
     grows = any(c < d for c, d in zip(c1, c2))
     shrinks = any(c > d for c, d in zip(c1, c2))
-    if not grows and not shrinks:
-        label = "unitary"
-    elif grows and shrinks:
-        label = "mixed"
-    elif grows:
-        label = "isometry"
-    else:
-        label = "co-isometry"
+    label = {(False, False): "unitary", (True, False): "isometry",
+             (False, True): "co-isometry", (True, True): "mixed"}[grows, shrinks]
+    u = _normal_form_intertwiner(rep1.algebra.blocks, c1, c2, r, s, rep1.V, rep2.V)
+    residuals = _verify_purification(
+        u, rep1, rep2, tol, require_unitary=not allow_inequivalent, label=label
+    )
     return u, label, residuals
 
 
@@ -352,17 +334,24 @@ def purification_residuals(u, rep1: AnchoredRep, rep2: AnchoredRep) -> dict:
     }
 
 
-def _verify_purification(u, rep1, rep2, tol: Tolerance, require_unitary: bool):
-    """Refuse U unless it intertwines, carries V onto W and, when asked, is
-    unitary.  The anchor residual |U V - W| is weighed against the larger
+def _verify_purification(
+    u, rep1, rep2, tol: Tolerance, require_unitary: bool, label: str = "unitary"
+):
+    """Refuse U unless it intertwines, carries V onto W and is what its label
+    says: U*U = 1 for "isometry", U U* = 1 for "co-isometry", both for
+    "unitary".  The anchor residual |U V - W| is weighed against the larger
     anchor, so rescaling both anchors moves no decision; the other residuals
-    are scale-free.  Each at 10 times its scale, as in tensor_factor_extract.
-    Returns the residuals it checked."""
+    are scale-free.  Each at 10 times its scale, for the rounding of the two
+    normal forms.  A failed label raises NotEquivalent when the caller
+    required a unitary, DilatoryError otherwise.  Returns the residuals it
+    checked."""
     res = purification_residuals(u, rep1, rep2)
     anchor_scale = 10.0 * max(max_abs(rep1.V), max_abs(rep2.V))
     if not (tol.within(res["intertwine"], 10.0) and tol.within(res["anchor"], anchor_scale)):
         raise DilatoryError(f"purification residuals too large: {res}")
-    unitary = max(res["isometry_defect"], res["coisometry_defect"])
-    if require_unitary and not tol.within(unitary, 10.0):
-        raise NotEquivalent(f"assembled map is not unitary: {res}")
+    iso, coiso = res["isometry_defect"], res["coisometry_defect"]
+    defect = {"unitary": max(iso, coiso), "isometry": iso, "co-isometry": coiso}.get(label, 0.0)
+    if not tol.within(defect, 10.0):
+        refusal = NotEquivalent if require_unitary else DilatoryError
+        raise refusal(f"assembled map is not {label}: {res}")
     return res

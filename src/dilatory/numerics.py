@@ -20,8 +20,9 @@ the imaginary part ``(im - re * 0) * r`` (re, im those of conj(z)), which
 is also what keeps signed zeros the same.
 
 There are three SVD kernels.  ``svd`` returns the full left basis U and
-serves only the callers that read U's orthogonal complement
-(``geometry.extend_partial_isometry``, ``cpmap.decompose_opstate_morphism``).
+serves only the callers that read U's orthogonal complement: the
+purification, which pairs the singular vectors of each block's L_j K_j*,
+``geometry.extend_partial_isometry`` and ``cpmap.decompose_opstate_morphism``.
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
 callers that need a null space or an initial space; on a tall input U would
 be square in the row count.  It keeps a real input real:
@@ -67,7 +68,7 @@ class Tolerance:
       (is_minimal), commutant's top, floored at its rounding;
     - 1 where rescaling changes the right answer (the *-hom gate, units,
       isometries, partial isometries, extensions, the normal form); 10 for
-      tensor_factor_extract and the purification.
+      the purification.
     """
 
     eps_rank: float = 1e-9

@@ -16,6 +16,7 @@ from dilatory.cpmap import kraus_map, tracial_map
 from dilatory.dilation import (
     AnchoredRep,
     is_rep_morphism,
+    mediating_morphism,
     stinespring_dilate,
 )
 from dilatory.errors import (
@@ -25,7 +26,6 @@ from dilatory.errors import (
     NotExtension,
     NotPartialIsometry,
     NotRepresentation,
-    NotTensorForm,
     RestrictionMismatch,
     ShapeMismatch,
 )
@@ -41,7 +41,6 @@ from dilatory.geometry import (
     purification_residuals,
     purify_partial,
     purify_unitary,
-    tensor_factor_extract,
 )
 from dilatory.numerics import Tolerance, kron, max_abs
 from dilatory.randgen import (
@@ -348,22 +347,6 @@ def test_composite_of_partial_isometries_can_fail():
     assert composite.residual >= 1e-3
 
 
-def test_tensor_factor_roundtrip():
-    rng = rng_for(58, 0)
-    x = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    o = kron(np.eye(2), x)
-    out = tensor_factor_extract(o, 2, TOL)
-    assert max_abs(out - x) <= 1e-12
-
-
-def test_tensor_factor_rejects_swap():
-    swap = np.zeros((4, 4))
-    swap[0, 0] = swap[3, 3] = 1.0
-    swap[1, 2] = swap[2, 1] = 1.0
-    with pytest.raises(NotTensorForm):
-        tensor_factor_extract(swap, 2, TOL)
-
-
 def test_normal_form_identity_rep():
     n = 3
     units = [e.block_data[0] for e in matrix_units(FdCStarAlgebra((n,)))]
@@ -536,6 +519,15 @@ def test_purify_unitary_rejects_inequivalent():
         purify_unitary(rep1, rep2, TOL)
 
 
+def test_purify_refuses_the_zero_map():
+    # anchors at 0 restrict to the zero map, which has no dilation
+    _, _, rep1, rep2 = random_dilation_pair(rng_for(77, 0), (1, 2), 2, TOL, [1, 0], [1, 0])
+    zero1, zero2 = _scaled(rep1, 0.0), _scaled(rep2, 0.0)
+    for purify in (purify_unitary, purify_partial, connecting_morphism):
+        with pytest.raises(DegenerateDimension):
+            purify(zero1, zero2, TOL)
+
+
 def test_purify_partial_equal_multiplicities_reduces():
     rng = rng_for(70, 0)
     phi, cert, rep1, rep2 = random_dilation_pair(rng, (2,), 2, TOL, extra1=[1], extra2=[1])
@@ -576,15 +568,75 @@ def test_purify_partial_minimal_vs_inflated_is_isometry():
     assert max_abs(u.conj().T @ u - np.eye(rep1.h)) <= 1e-9
 
 
-def test_purify_outputs_extend_connecting_morphism():
-    for i in range(5):
-        rng = rng_for(73, i)
-        phi, cert, rep1, rep2 = random_dilation_pair(rng, (2, 1), 1, TOL, extra1=[1, 0], extra2=[1, 0])
-        u = purify_unitary(rep1, rep2, TOL)
-        link = connecting_morphism(rep1, rep2, TOL)
-        assert is_intertwining_extension(
-            link.L, u, list(rep1.pi_images), list(rep2.pi_images), TOL
-        )
+# the identities each purification label promises, as residual names
+_LABEL_IDENTITIES = {
+    "unitary": ("isometry_defect", "coisometry_defect"),
+    "isometry": ("isometry_defect",),
+    "co-isometry": ("coisometry_defect",),
+    "mixed": (),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    blocks=st.sampled_from([(1,), (2,), (3,), (1, 2), (2, 3), (1, 1, 2)]),
+    k=st.integers(1, 3),
+    junk=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=3, max_size=3),
+    killed=st.integers(-1, 2),
+    log_s=st.floats(-12.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_purify_outputs_extend_connecting_morphism(blocks, k, junk, killed, log_s, seed):
+    # the connecting morphism, built from a fresh dilation and two mediating
+    # morphisms, is the reference: the U read off the normal forms extends it
+    # and satisfies the identities its label names.  On a multi-block algebra
+    # the map may kill one block, which then carries junk only (or nothing).
+    rng = np.random.default_rng(seed)
+    extra1, extra2 = (list(side[: len(blocks)]) for side in zip(*junk))
+    dead = [j == killed and len(blocks) > 1 for j in range(len(blocks))]
+    families = [
+        [(0.0 if d else 1.0) * complex_gaussian(rng, k, n) for _ in range(2)]
+        for n, d in zip(blocks, dead)
+    ]
+    cert = stinespring_dilate(kraus_map(families, FdCStarAlgebra(blocks), k), TOL)
+    rep1, rep2 = (_scaled(inflate_rep(rng, cert, e), 10.0**log_s) for e in (extra1, extra2))
+    u, label = purify_partial(rep1, rep2, TOL)
+    link = connecting_morphism(rep1, rep2, TOL)
+    assert is_intertwining_extension(
+        link.L, u, list(rep1.pi_images), list(rep2.pi_images), TOL
+    )
+    res = purification_residuals(u, rep1, rep2)
+    for name in _LABEL_IDENTITIES[label]:
+        assert res[name] <= 1e-9, name
+    if extra1 == extra2:
+        assert label == "unitary"
+
+
+def test_purification_self_check_verifies_the_label():
+    # U' = U (1 + P1), P1 the projection onto rep1's unreachable part,
+    # intertwines and carries V to W, but U'* U' = 1 + 3 P1: not an isometry
+    rng = rng_for(76, 0)
+    _, cert, rep1, rep2 = random_dilation_pair(rng, (2, 1), 2, TOL, [1, 0], [2, 0])
+    u, label = purify_partial(rep1, rep2, TOL)
+    assert label == "isometry"
+    m = mediating_morphism(rep1, cert=cert).L
+    bad = u @ (2.0 * np.eye(rep1.h) - m @ m.conj().T)
+    res = purification_residuals(bad, rep1, rep2)
+    assert res["intertwine"] <= 1e-9 and res["anchor"] <= 1e-9
+    assert res["isometry_defect"] > 1.0
+    _verify_purification(u, rep1, rep2, TOL, require_unitary=False, label="isometry")
+    with pytest.raises(DilatoryError, match="not isometry") as refused:
+        _verify_purification(bad, rep1, rep2, TOL, require_unitary=False, label="isometry")
+    assert not isinstance(refused.value, NotEquivalent)
+    # a unitary label is checked with and without the flag
+    _, _, rep3, rep4 = random_dilation_pair(rng, (2, 1), 2, TOL, [1, 0], [1, 0])
+    u34 = purify_unitary(rep3, rep4, TOL)
+    m3 = connecting_morphism(rep3, rep3, TOL).L
+    bad34 = u34 @ (2.0 * np.eye(rep3.h) - m3)
+    with pytest.raises(NotEquivalent):
+        _verify_purification(bad34, rep3, rep4, TOL, require_unitary=True)
+    with pytest.raises(DilatoryError, match="not unitary"):
+        _verify_purification(bad34, rep3, rep4, TOL, require_unitary=False)
 
 
 def test_normal_form_general_rejects_malformed_images():
@@ -781,6 +833,29 @@ def test_normal_form_and_purification_run_no_star_hom_gate(monkeypatch):
     with pytest.raises(NotRepresentation):
         normal_form_general_rep(1.001 * rep3.pi_images, rep3.algebra, TOL)
     assert gated == []
+
+
+def test_purification_builds_no_dilation(monkeypatch):
+    # U is read off the normal forms: one SVD per block both dilations
+    # reach, and no dilation, mediating morphism or connecting morphism
+    import dilatory.dilation
+    import dilatory.geometry
+
+    _, _, rep1, rep2 = random_dilation_pair(rng_for(80, 2), (2, 3, 1), 2, TOL, [1, 0, 0], [2, 0, 1])
+    spied = [
+        (dilatory.dilation, "stinespring_dilate"),
+        (dilatory.dilation, "mediating_morphism"),
+        (dilatory.geometry, "connecting_morphism"),
+        (numerics, "svd"),
+    ]
+    calls = {name: _spy(monkeypatch, module, name) for module, name in spied}
+    assert purify_partial(rep1, rep2, TOL)[1] == "isometry"
+    assert {name: len(c) for name, c in calls.items()} == {
+        "stinespring_dilate": 0,
+        "mediating_morphism": 0,
+        "connecting_morphism": 0,
+        "svd": 3,
+    }
 
 
 def test_extension_takes_one_svd(monkeypatch):
