@@ -160,11 +160,6 @@ def element_from_coefficients(algebra: FdCStarAlgebra, coeffs) -> AlgebraElement
     return AlgebraElement(algebra, tuple(c[o : o + n * n].reshape(n, n) for o, n in pieces))
 
 
-def matrix_units(algebra: FdCStarAlgebra) -> list[AlgebraElement]:
-    """Matrix-unit basis E^{(j)}_{ab}, block-major then row-major."""
-    return [element_from_coefficients(algebra, e) for e in numerics.eye(algebra.dim)]
-
-
 def diagonal_units(algebra: FdCStarAlgebra) -> np.ndarray:
     """Basis indices of the diagonal units E^{(j)}_{aa}, which sum to 1."""
     return np.array([i for i, (_, a, b) in enumerate(algebra._labels) if a == b])
@@ -250,12 +245,6 @@ class StarHom:
         rows, cols = self.target._embedding
         out[:, rows, cols] = self.matrix.T
         return out
-
-
-def representation_hom(algebra: FdCStarAlgebra, images: np.ndarray) -> StarHom:
-    """The map A -> M_h with the given (dim, h, h) basis images."""
-    h = images.shape[-1]
-    return StarHom(algebra, FdCStarAlgebra((h,)), images.reshape(algebra.dim, h * h).T)
 
 
 def identity_hom(algebra: FdCStarAlgebra) -> StarHom:

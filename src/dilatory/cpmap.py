@@ -5,9 +5,9 @@ as one (dim, k, k) array, phi(E_alpha) at index alpha, and extended
 linearly.  The OcpMap constructor checks the shape and the finiteness of the
 whole stack once; every computation below works on the stack at once.
 Complete positivity is decided by positivity of the
-per-block Choi matrices, with the ampliation kept around as an independent
-cross-check.  Morphisms of such maps are plain linear maps T intertwining the
-two actions, T phi(a) = psi(a) T.
+per-block Choi matrices (Choi, Lin. Alg. Appl. 10, 1975); the tests keep
+the ampliation as an independent cross-check.  Morphisms of such maps are
+plain linear maps T intertwining the two actions, T phi(a) = psi(a) T.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .algebra import (
     StarHom,
     check_star_hom,
 )
-from .errors import InvalidHom, NotIsometry, NotMorphism, ShapeMismatch
+from .errors import InvalidHom, NotMorphism, ShapeMismatch
 from .numerics import DEFAULT_TOL, Tolerance, as_matrix, as_stack, dagger, linear_extension, max_abs
 
 
@@ -50,16 +50,6 @@ def apply(phi: OcpMap, a: AlgebraElement) -> np.ndarray:
     if a.algebra.blocks != phi.domain.blocks:
         raise ShapeMismatch("element not in the domain of the map")
     return linear_extension(a.coefficients(), phi.basis_images)
-
-
-def ampliation_apply(phi: OcpMap, n: int, block_matrix) -> np.ndarray:
-    """Apply the n-ampliation to an n-by-n grid of algebra elements."""
-    if n < 1:
-        raise ShapeMismatch("ampliation order must be positive")
-    rows = list(block_matrix)
-    if len(rows) != n or any(len(list(r)) != n for r in rows):
-        raise ShapeMismatch(f"expected an {n}x{n} grid of elements")
-    return np.block([[apply(phi, a) for a in row] for row in rows])
 
 
 def choi_blocks(phi: OcpMap) -> list[np.ndarray]:
@@ -150,21 +140,6 @@ def kraus_map(operators, domain: FdCStarAlgebra, k: int) -> OcpMap:
     return OcpMap(domain, k, np.concatenate(images))
 
 
-def zero_map(domain: FdCStarAlgebra, k: int) -> OcpMap:
-    return OcpMap(domain, k, np.zeros((domain.dim, k, k), dtype=np.complex128))
-
-
-def compose_maps(psi: OcpMap, phi: OcpMap) -> OcpMap:
-    """psi o phi, where psi is defined on the full matrix algebra M_{phi.k}."""
-    if psi.domain.blocks != (phi.k,):
-        raise ShapeMismatch(
-            f"psi must be defined on M_{phi.k} to compose, has domain {psi.domain.blocks}"
-        )
-    # the coefficients of phi(E_alpha) on the matrix units of M_k are its entries
-    coeffs = phi.basis_images.reshape(phi.domain.dim, -1).T
-    return OcpMap(phi.domain, psi.k, linear_extension(coeffs, psi.basis_images))
-
-
 @dataclass(frozen=True, eq=False)
 class OcpMorphism:
     """A linear map T with T phi(a) = psi(a) T for all a."""
@@ -231,52 +206,6 @@ def check_morphism_variants(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class OpStateDecomposition:
-    """Block structure of a morphism of operator states.
-
-    The target space splits as range(T) + its complement; psi compresses to
-    a copy of phi on the first summand and to some operator state psi2 on the
-    second.  basis_l1 is T itself, so the unitary onto range(T) is T.
-    """
-
-    unitary: np.ndarray
-    psi1: OcpMap
-    psi2: OcpMap | None
-    basis_l1: np.ndarray
-    basis_l2: np.ndarray
-
-
-def decompose_opstate_morphism(
-    t, phi: OcpMap, psi: OcpMap, tol: Tolerance = DEFAULT_TOL
-) -> OpStateDecomposition:
-    """Split a morphism of operator states into a direct sum.
-
-    Requires phi, psi unital CP and T an isometric morphism (T*T = 1 at
-    scale 1: a multiple of an isometry is not one).  Returns the
-    unitary onto range(T) (T itself), the compressions psi1 = T* psi T and
-    psi2 on the orthogonal complement, and orthonormal bases of both summands.
-    """
-    mat = as_matrix(t)
-    iso_res = max_abs(dagger(mat) @ mat - numerics.eye(phi.k))
-    if not tol.within(iso_res):
-        raise NotIsometry(f"T*T - I residual {iso_res:.3e}")
-    ok, res = is_ocp_morphism(mat, phi, psi, tol)
-    if not ok:
-        raise NotMorphism(f"intertwining residual {res:.3e}")
-
-    ell, k = mat.shape
-    u_full, _, _ = numerics.svd(mat)
-    basis_l2 = u_full[:, k:]
-    psi1 = OcpMap(phi.domain, k, dagger(mat) @ psi.basis_images @ mat)
-    psi2 = None
-    if ell > k:
-        psi2 = OcpMap(phi.domain, ell - k, dagger(basis_l2) @ psi.basis_images @ basis_l2)
-    return OpStateDecomposition(
-        unitary=mat, psi1=psi1, psi2=psi2, basis_l1=mat, basis_l2=basis_l2
-    )
-
-
 def pullback(phi: OcpMap, f: StarHom, tol: Tolerance = DEFAULT_TOL) -> OcpMap:
     """phi o f on the source of f; preserves complete positivity."""
     report = check_star_hom(f, tol)
@@ -315,34 +244,23 @@ def identity_morphism(phi: OcpMap) -> OcpMorphism:
     return OcpMorphism(phi, phi, numerics.eye(phi.k))
 
 
-def unique_unital_hom_from_scalars(target: FdCStarAlgebra) -> StarHom:
-    """The only unital *-homomorphism C -> A, sending 1 to the unit."""
-    scalars = FdCStarAlgebra((1,))
-    return StarHom(scalars, target, (target.unit(),))
-
-
 __all__ = [
     "OcpMap",
     "OcpMorphism",
     "CpReport",
     "MorphismVariantReport",
-    "OpStateDecomposition",
     "apply",
-    "ampliation_apply",
     "choi_blocks",
     "is_completely_positive",
     "is_unital",
     "tracial_map",
     "ad_map",
     "kraus_map",
-    "zero_map",
     "is_ocp_morphism",
     "check_morphism_variants",
-    "decompose_opstate_morphism",
     "pullback",
     "pullback_ungated",
     "dagger_morphism",
     "compose_morphisms",
     "identity_morphism",
-    "unique_unital_hom_from_scalars",
 ]

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import numerics
 from .algebra import (
-    AlgebraElement,
     FdCStarAlgebra,
     StarHom,
     StarHomReport,
@@ -86,12 +85,6 @@ class AnchoredRep:
         object.__setattr__(self, "V", v)
 
 
-def pi_apply(rep: AnchoredRep, a: AlgebraElement) -> np.ndarray:
-    if a.algebra.blocks != rep.algebra.blocks:
-        raise ShapeMismatch("element not in the represented algebra")
-    return numerics.linear_extension(a.coefficients(), rep.pi_images)
-
-
 def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomReport:
     """check_star_hom's verdict on the induced map A -> M_h: the matrix-unit
     presentation of each block and the unit, whose residuals bound those of
@@ -99,11 +92,6 @@ def validate_rep(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> StarHomRepor
     images are checked as the rep holds them, with no copy and no second
     finiteness scan (the constructor made that one)."""
     return _check_presentation(rep.algebra, rep.pi_images, tol)
-
-
-def is_preserving(rep: AnchoredRep, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the anchor V is an isometry, at scale 1 (s V is not one)."""
-    return tol.within(max_abs(dagger(rep.V) @ rep.V - numerics.eye(rep.k)))
 
 
 @dataclass(frozen=True, eq=False)

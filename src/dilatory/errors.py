@@ -28,10 +28,6 @@ class NotCompletelyPositive(DilatoryError):
         self.min_eigenvalues = list(min_eigenvalues) if min_eigenvalues else []
 
 
-class NotIsometry(DilatoryError):
-    """A matrix required to be an isometry is not one at tolerance."""
-
-
 class NotMorphism(DilatoryError):
     """A candidate morphism fails its defining commuting squares."""
 

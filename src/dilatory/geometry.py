@@ -339,18 +339,21 @@ def _verify_purification(
 ):
     """Refuse U unless it intertwines, carries V onto W and is what its label
     says: U*U = 1 for "isometry", U U* = 1 for "co-isometry", both for
-    "unitary".  The anchor residual |U V - W| is weighed against the larger
-    anchor, so rescaling both anchors moves no decision; the other residuals
-    are scale-free.  Each at 10 times its scale, for the rounding of the two
-    normal forms.  A failed label raises NotEquivalent when the caller
-    required a unitary, DilatoryError otherwise.  Returns the residuals it
-    checked."""
+    "unitary", U U* U = U for "mixed".  The anchor residual |U V - W| is
+    weighed against the larger anchor, so rescaling both anchors moves no
+    decision; the other residuals are scale-free.  Each at 10 times its
+    scale, for the rounding of the two normal forms.  A failed label raises
+    NotEquivalent when the caller required a unitary, DilatoryError
+    otherwise.  Returns the residuals it checked."""
     res = purification_residuals(u, rep1, rep2)
     anchor_scale = 10.0 * max(max_abs(rep1.V), max_abs(rep2.V))
     if not (tol.within(res["intertwine"], 10.0) and tol.within(res["anchor"], anchor_scale)):
         raise DilatoryError(f"purification residuals too large: {res}")
     iso, coiso = res["isometry_defect"], res["coisometry_defect"]
-    defect = {"unitary": max(iso, coiso), "isometry": iso, "co-isometry": coiso}.get(label, 0.0)
+    if label == "mixed":
+        defect = max_abs(u @ dagger(u) @ u - u)
+    else:
+        defect = {"unitary": max(iso, coiso), "isometry": iso, "co-isometry": coiso}[label]
     if not tol.within(defect, 10.0):
         refusal = NotEquivalent if require_unitary else DilatoryError
         raise refusal(f"assembled map is not {label}: {res}")

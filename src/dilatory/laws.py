@@ -54,7 +54,6 @@ from .dilation import (
     mediating_morphism,
     pullback_rep,
     stine_f,
-    stine_on_morphism,
     stinespring_dilate,
     universal_factorization,
 )
@@ -164,14 +163,16 @@ def check_naturality_m(
 ) -> LawReport:
     """Naturality square of m: m_dst after L_T equals L after m_src, with
     src_cert and dst_cert the canonical dilations of the two restrictions
-    and L_T the transport of morphism.T between them."""
+    and L_T the transport of morphism.T between them.  The one gate is
+    is_rep_morphism: its three squares make T a morphism of the two
+    restrictions, so L_T is transported without a second gate of T."""
     report = is_rep_morphism(morphism, src, dst, tol)
     if not report.ok:
         raise NotMorphism(f"not a morphism of anchored representations: {report.residuals}")
-    l_t = stine_on_morphism(morphism.T, tol, src_cert=src_cert, dst_cert=dst_cert)
+    l_t = _transport(morphism.T, dst_cert.rep, src_cert)
     m_src = mediating_morphism(src, cert=src_cert)
     m_dst = mediating_morphism(dst, cert=dst_cert)
-    return _naturality(m_dst.L @ l_t.L, morphism, m_src, tol)
+    return _naturality(m_dst.L @ l_t, morphism, m_src, tol)
 
 
 def _naturality(through, morphism, m_src, tol) -> LawReport:
@@ -273,14 +274,16 @@ def objectwise_adjunction_suite(samples, tol: Tolerance = DEFAULT_TOL) -> LawRep
     canonical dilations of phi and of the restriction psi of the target, and
     T a morphism phi -> psi: the factorization through the counit m_target
     L_T reproduces universal_factorization, which restricts to T by
-    construction and must pass is_rep_morphism.
+    construction and must pass is_rep_morphism.  T is gated once, by
+    universal_factorization, against the restriction of the target, which
+    cert_psi dilates; L_T shares that gate.
     """
     reports = []
     for t, cert_phi, target, cert_psi in samples:
         univ = universal_factorization(t, target, tol, cert=cert_phi)
-        l_t = stine_on_morphism(t, tol, src_cert=cert_phi, dst_cert=cert_psi)
+        l_t = _transport(univ.T, cert_psi.rep, cert_phi)
         counit = mediating_morphism(target, cert=cert_psi)
-        reports.append(_adjunction(cert_phi, target, univ, counit.L @ l_t.L, tol))
+        reports.append(_adjunction(cert_phi, target, univ, counit.L @ l_t, tol))
     return merge_reports("objectwise_adjunction", reports)
 
 

@@ -22,7 +22,7 @@ is also what keeps signed zeros the same.
 There are three SVD kernels.  ``svd`` returns the full left basis U and
 serves only the callers that read U's orthogonal complement: the
 purification, which pairs the singular vectors of each block's L_j K_j*,
-``geometry.extend_partial_isometry`` and ``cpmap.decompose_opstate_morphism``.
+and ``geometry.extend_partial_isometry``.
 ``right_singular`` returns ``(s, V)`` without ever forming U and serves the
 callers that need a null space or an initial space; on a tall input U would
 be square in the row count.  It keeps a real input real:

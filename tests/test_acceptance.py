@@ -6,7 +6,7 @@ so every run exercises the same instances.
 
 import numpy as np
 
-from dilatory.algebra import FdCStarAlgebra, matrix_units, commutant
+from dilatory.algebra import FdCStarAlgebra, commutant
 from dilatory.cli import main
 from dilatory.cpmap import (
     OcpMap,
@@ -41,6 +41,7 @@ from dilatory.randgen import (
     random_unitary,
     rng_for,
 )
+from reference import matrix_units
 
 TOL = Tolerance()
 BLOCK_CHOICES = [(1,), (2,), (3,), (1, 2), (2, 2), (1, 3), (2, 3), (1, 1, 2)]

@@ -14,7 +14,6 @@ from dilatory.algebra import (
     compose_homs,
     element_from_coefficients,
     identity_hom,
-    matrix_units,
     unit_product_index,
 )
 from dilatory import algebra as algebra_module, randgen
@@ -29,6 +28,7 @@ from dilatory.randgen import (
     random_unitary,
     rng_for,
 )
+from reference import matrix_units
 
 TOL = Tolerance()
 

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dilatory.algebra import AlgebraElement, FdCStarAlgebra, StarHom, element_from_coefficients
+from dilatory import cli
 from dilatory.cli import main
 from dilatory.cpmap import OcpMap, is_completely_positive, is_unital, tracial_map
 from dilatory.dilation import AnchoredRep, stinespring_dilate
 from dilatory.errors import MalformedInput
 from dilatory.geometry import purification_residuals, purify_partial, purify_unitary
+from dilatory.laws import LawReport, SuiteResult
 from dilatory.numerics import Tolerance, hermitian_eig
 from dilatory.randgen import (
     random_cp_map,
@@ -275,6 +277,56 @@ def test_cli_purify_exit_codes(tmp_path):
     pa.write_text(dumps(encode_anchored_rep(rep_a)))
     pb.write_text(dumps(encode_anchored_rep(rep_b)))
     assert main(["purify", str(pa), str(pb), "--out", str(out)]) == 4
+
+
+def test_cli_purify_refuses_well_formed_non_dilations_with_exit_3(tmp_path, capsys):
+    rng = rng_for(97, 0)
+    _, _, rep1, rep2 = random_dilation_pair(rng, (1, 2), 2, TOL, [1, 0], [0, 1])
+    images = rep1.pi_images.copy()
+    images[1] *= 2.0  # pi(E^1_00) doubled: not a projection
+    doubled = AnchoredRep(rep1.algebra, rep1.k, rep1.h, images, rep1.V)
+    _, _, other, _ = random_dilation_pair(rng, (2,), 2, TOL)
+    zero1, zero2 = (
+        AnchoredRep(r.algebra, r.k, r.h, r.pi_images, np.zeros_like(r.V)) for r in (rep1, rep2)
+    )
+    for (a, b), reason in (
+        ((doubled, rep2), "NotRepresentation"),
+        ((rep1, other), "representations anchor different spaces"),
+        ((zero1, zero2), "DegenerateDimension"),
+    ):
+        paths = []
+        for name, rep in (("a.json", a), ("b.json", b)):
+            (tmp_path / name).write_text(dumps(encode_anchored_rep(rep)))
+            paths.append(str(tmp_path / name))
+        assert main(["purify", *paths]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and reason in captured.err
+
+
+_PASSED = LawReport("zigzag", 1e-15, True)
+_CONTROL = LawReport("control_sabotaged_mediating", 0.01, False)
+
+
+@pytest.mark.parametrize(
+    "result, line",
+    [
+        (
+            SuiteResult((_PASSED, LawReport("oplax", 0.25, False, ("draw 3",))), (_CONTROL,)),
+            "law failure: oplax residual=2.500e-01 witnesses=['draw 3']",
+        ),
+        (
+            SuiteResult((_PASSED,), (_CONTROL, LawReport("control_padding_not_hom", 1e-12, True))),
+            "law failure: control:control_padding_not_hom residual=1.000e-12 witnesses=[]",
+        ),
+    ],
+)
+def test_cli_laws_names_the_first_failure_and_exits_1(capsys, monkeypatch, result, line):
+    monkeypatch.setattr(cli, "run_default_suite", lambda **_: result)
+    assert main(["laws", "--draws", "1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] is False
+    assert captured.err.splitlines() == [line]
 
 
 def test_cli_laws_smoke(tmp_path):

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from dilatory.algebra import (
     FdCStarAlgebra,
+    StarHom,
     boxplus_rep_images,
     compose_homs,
     identity_hom,
-    matrix_units,
 )
 from dilatory.cpmap import (
     OcpMap,
@@ -17,15 +17,12 @@ from dilatory.cpmap import (
     kraus_map,
     pullback,
     tracial_map,
-    unique_unital_hom_from_scalars,
-    zero_map,
 )
 from dilatory.dilation import (
     AnchoredRep,
     _span_columns,
     gram_matrix,
     is_minimal,
-    is_preserving,
     is_rep_morphism,
     left_mult_matrix,
     mediating_morphism,
@@ -55,6 +52,7 @@ from dilatory.randgen import (
     random_unitary,
     rng_for,
 )
+from reference import ampliation_apply, is_preserving, matrix_units, pi_apply
 
 TOL = Tolerance()
 
@@ -111,7 +109,7 @@ def test_gram_identity_channel_structure():
 
 
 def test_gram_zero_map():
-    g = gram_matrix(zero_map(FdCStarAlgebra((2,)), 2), TOL)
+    g = gram_matrix(OcpMap(FdCStarAlgebra((2,)), 2, np.zeros((4, 2, 2))), TOL)
     assert max_abs(g) == 0.0
 
 
@@ -171,7 +169,7 @@ def test_dilate_identity_channel_dimension():
 
 def test_dilate_zero_map_rejected():
     with pytest.raises(DegenerateDimension):
-        stinespring_dilate(zero_map(FdCStarAlgebra((2,)), 2), TOL)
+        stinespring_dilate(OcpMap(FdCStarAlgebra((2,)), 2, np.zeros((4, 2, 2))), TOL)
 
 
 def test_dilation_certificate_quotient_identities():
@@ -200,7 +198,6 @@ def test_dilation_norm_bound():
     for img in cert.rep.pi_images:
         assert op_norm(img) <= 1.0 + 1e-9
     from dilatory.algebra import element_from_coefficients
-    from dilatory.dilation import pi_apply
 
     for _ in range(10):
         coeffs = rng.standard_normal(phi.domain.dim) + 1j * rng.standard_normal(phi.domain.dim)
@@ -229,7 +226,8 @@ def test_restrict_zero_anchor():
         cert.rep.pi_images,
         np.zeros((cert.rep.h, 2), dtype=complex),
     )
-    assert max_image_residual(restrict(rep0), zero_map(phi.domain, 2)) == 0.0
+    zero = OcpMap(phi.domain, 2, np.zeros((phi.domain.dim, 2, 2)))
+    assert max_image_residual(restrict(rep0), zero) == 0.0
 
 
 def test_restrict_gns_form():
@@ -372,7 +370,7 @@ def test_stine_f_scalar_embedding():
     # phi o (C -> M_n) has dilation space of dimension k for unital phi
     rng = rng_for(33, 0)
     phi = random_cp_map(rng, (2,), 2, kraus_rank=2, unital=True)
-    bang = unique_unital_hom_from_scalars(phi.domain)
+    bang = StarHom(FdCStarAlgebra((1,)), phi.domain, (phi.domain.unit(),))  # C -> A
     pulled = pullback(phi, bang, TOL)
     pulled_cert = stinespring_dilate(pulled, TOL)
     cert = stinespring_dilate(phi, TOL)
@@ -428,8 +426,6 @@ def test_mediating_morphism_gns_formula():
     rng = rng_for(37, 0)
     inflated = inflate_rep(rng, cert, [1])
     med = mediating_morphism(inflated, cert=cert)
-    from dilatory.dilation import pi_apply
-
     units = matrix_units(omega.domain)
     omega_vec = inflated.V[:, 0]
     for alpha, unit in enumerate(units):
@@ -618,8 +614,6 @@ def test_anchored_rep_constructor_gates():
 
 
 def test_ampliation_rejects_ragged_grid():
-    from dilatory.cpmap import ampliation_apply
-
     phi = tracial_map(2, 2)
     units = matrix_units(phi.domain)
     with pytest.raises(ShapeMismatch):

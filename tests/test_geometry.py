@@ -8,8 +8,6 @@ from dilatory.algebra import (
     FdCStarAlgebra,
     check_star_hom,
     diagonal_units,
-    matrix_units,
-    representation_hom,
 )
 from dilatory import numerics
 from dilatory.cpmap import kraus_map, tracial_map
@@ -52,6 +50,7 @@ from dilatory.randgen import (
     random_unitary,
     rng_for,
 )
+from reference import matrix_units, representation_hom
 from test_stacked import _loop_check_star_hom, _perturbed
 
 TOL = Tolerance()
@@ -627,6 +626,11 @@ def test_purification_self_check_verifies_the_label():
     _verify_purification(u, rep1, rep2, TOL, require_unitary=False, label="isometry")
     with pytest.raises(DilatoryError, match="not isometry") as refused:
         _verify_purification(bad, rep1, rep2, TOL, require_unitary=False, label="isometry")
+    assert not isinstance(refused.value, NotEquivalent)
+    # a "mixed" U must be a partial isometry, U U* U = U; U' is not one
+    _verify_purification(u, rep1, rep2, TOL, require_unitary=False, label="mixed")
+    with pytest.raises(DilatoryError, match="not mixed") as refused:
+        _verify_purification(bad, rep1, rep2, TOL, require_unitary=False, label="mixed")
     assert not isinstance(refused.value, NotEquivalent)
     # a unitary label is checked with and without the flag
     _, _, rep3, rep4 = random_dilation_pair(rng, (2, 1), 2, TOL, [1, 0], [1, 0])

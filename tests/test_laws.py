@@ -177,10 +177,11 @@ def test_dagger_entries():
     assert report.passed
 
 
-def test_objectwise_adjunction_positive():
-    rng = rng_for(87, 0)
+def adjunction_samples(rng, count):
+    """(T, cert_phi, target, cert_psi) with psi = Ad_T phi, T unitary, and
+    target an inflated dilation of psi."""
     samples = []
-    for _ in range(5):
+    for _ in range(count):
         phi = random_cp_map(rng, (2,), 2, kraus_rank=2)
         x = random_unitary(rng, 2)
         psi = OcpMap(phi.domain, 2, tuple(x @ m @ x.conj().T for m in phi.basis_images))
@@ -188,8 +189,29 @@ def test_objectwise_adjunction_positive():
         cert_psi = stinespring_dilate(psi, TOL)
         target = inflate_rep(rng, cert_psi, [1])
         samples.append((x, cert_phi, target, cert_psi))
-    report = objectwise_adjunction_suite(samples, TOL)
+    return samples
+
+
+def test_objectwise_adjunction_positive():
+    report = objectwise_adjunction_suite(adjunction_samples(rng_for(87, 0), 5), TOL)
     assert report.passed and report.max_residual <= 1e-9
+
+
+def test_checkers_gate_each_sampled_morphism_once(monkeypatch):
+    """T is gated once per sample: by universal_factorization in the
+    adjunction suite, by is_rep_morphism on (T, L) in check_naturality_m;
+    the transports L_T share that gate."""
+    samples = adjunction_samples(rng_for(88, 0), 3)
+    morphisms = [universal_factorization(t, target, TOL, cert=c) for t, c, target, _ in samples]
+    counts = _count_calls(monkeypatch, ("is_ocp_morphism", "is_rep_morphism"))
+    assert objectwise_adjunction_suite(samples, TOL).passed
+    # one T gate and one law check of the factorization per sample
+    assert counts == {"is_ocp_morphism": 3, "is_rep_morphism": 3}
+    counts.update(dict.fromkeys(counts, 0))
+    for morphism, (_, cert_phi, target, cert_psi) in zip(morphisms, samples):
+        certs = {"src_cert": cert_phi, "dst_cert": cert_psi}
+        assert check_naturality_m(morphism, cert_phi.rep, target, TOL, **certs).passed
+    assert counts == {"is_ocp_morphism": 0, "is_rep_morphism": 3}
 
 
 def test_counterexample_suite_passes():
@@ -236,18 +258,19 @@ def test_default_suite_ok_and_reproducible():
 
 
 def _count_calls(monkeypatch, names) -> dict:
-    """Count calls of the named functions the laws module calls, wherever
-    a dilatory module imported them."""
+    """Count calls of the named dilatory functions, wherever a dilatory
+    module imported them."""
     counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("dilatory")]
     for name in counts:
-        real = getattr(laws, name)
+        real = next(getattr(m, name) for m in modules if hasattr(m, name))
 
         def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("dilatory") and getattr(module, name, None) is real:
+        for module in modules:
+            if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
     return counts
 

@@ -12,12 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dilatory import numerics
-from dilatory.algebra import FdCStarAlgebra, matrix_units
+from dilatory.algebra import FdCStarAlgebra
 from dilatory.cli import main
 from dilatory.cpmap import OcpMap, choi_blocks, is_completely_positive, pullback
 from dilatory.dilation import (
     mediating_morphism,
-    pi_apply,
     stine_f,
     stine_on_morphism,
     stinespring_dilate,
@@ -35,6 +34,7 @@ from dilatory.randgen import (
     rng_for,
 )
 from dilatory.serialize import dumps, encode_ocp_map
+from reference import matrix_units, pi_apply
 
 TOL = Tolerance()
 

@@ -22,7 +22,6 @@ from dilatory.algebra import (
     check_star_hom,
     compose_homs,
     element_from_coefficients,
-    representation_hom,
     unit_product_index,
 )
 from dilatory.cli import main
@@ -40,7 +39,6 @@ from dilatory.dilation import (
     RepMorphism,
     is_rep_morphism,
     mediating_morphism,
-    pi_apply,
     pullback_rep,
     restrict,
     stinespring_dilate,
@@ -60,6 +58,7 @@ from dilatory.randgen import (
     rng_for,
 )
 from dilatory.serialize import encode_anchored_rep, encode_ocp_map
+from reference import pi_apply, representation_hom
 
 TOL = Tolerance()
 
